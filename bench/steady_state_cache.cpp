@@ -11,22 +11,11 @@
  *
  * Besides the usual table, each model row is emitted as one JSON line
  * ("JSON: {...}") for harness scraping.
- *
- * --specialize switches to the tiered-JIT comparison (DESIGN.md §13):
- * steady-state wall p50 of the symbolic plan-cache baseline vs the
- * same stream after the background specializer promoted the hot
- * signature to a fully-static tier-1 plan, with zoo-wide tier-1 vs
- * tier-0 bit-exactness.
  */
 
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/sod2_engine.h"
-#include "core/specialization.h"
-#include "graph/builder.h"
 #include "harness.h"
 #include "support/env.h"
 #include "support/string_util.h"
@@ -80,241 +69,12 @@ runStream(Sod2Engine& engine, const std::vector<Tensor>& inputs, int runs)
     return r;
 }
 
-/** Byte snapshot of one run's outputs. */
-std::vector<std::vector<uint8_t>>
-snapshotOutputs(const std::vector<Tensor>& outs)
-{
-    std::vector<std::vector<uint8_t>> bytes;
-    for (const Tensor& t : outs) {
-        const uint8_t* p = static_cast<const uint8_t*>(t.raw());
-        bytes.emplace_back(p, p + t.byteSize());
-    }
-    return bytes;
-}
-
-/** Wall seconds of one warm run (cache/memo hit). */
-double
-timedRun(const Sod2Engine& engine, RunContext& ctx,
-         const std::vector<Tensor>& inputs)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    engine.run(ctx, inputs);
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-/**
- * Paired interleaved sampling: one tier-0 and one tier-1 run per
- * iteration, alternating which goes first. Two back-to-back 100-run
- * streams would let machine load drift land entirely on one tier and
- * masquerade as a (plus or minus) 30% "speedup"; interleaving makes
- * drift common-mode so the p50s stay comparable.
- */
-void
-timedPairs(const Sod2Engine& base, RunContext& base_ctx,
-           const Sod2Engine& tiered, RunContext& tier_ctx,
-           const std::vector<Tensor>& inputs, int runs,
-           std::vector<double>* s0, std::vector<double>* s1)
-{
-    s0->reserve(runs);
-    s1->reserve(runs);
-    for (int i = 0; i < runs; ++i) {
-        if (i % 2 == 0) {
-            s0->push_back(timedRun(base, base_ctx, inputs));
-            s1->push_back(timedRun(tiered, tier_ctx, inputs));
-        } else {
-            s1->push_back(timedRun(tiered, tier_ctx, inputs));
-            s0->push_back(timedRun(base, base_ctx, inputs));
-        }
-    }
-}
-
-/**
- * The gated workload: a shape-computation-bound graph. A Shape ->
- * Gather -> long int-arithmetic chain feeds a Range whose float cast
- * joins the (small) f32 data path. Per run, tier-0 dispatches every
- * one of those ~50 scalar integer groups; tier-1 proves their contents
- * under the signature's concrete bindings, folds them to seeded
- * constants, and skips the groups outright — the paper's all-known
- * regime, where runtime shape computation is the cost being deleted.
- * The zoo models are kernel-bound (Conv/MatMul wall time dwarfs group
- * dispatch), so they sweep bit-exactness while this stream carries the
- * speedup gate.
- */
-struct ShapeComputeModel
-{
-    Graph graph;
-    RdpOptions rdp;
-
-    static ShapeComputeModel
-    build()
-    {
-        ShapeComputeModel m;
-        GraphBuilder b(&m.graph);
-        ValueId x = b.input("x");
-        ValueId s = b.shapeOf(x);
-        ValueId n0 = b.gather(s, b.constI64({0}), 0);
-        ValueId d0 = b.gather(s, b.constI64({1}), 0);
-        // 48 integer nodes the symbolic pass must keep (they depend on
-        // the runtime dims) but the all-known pass folds completely.
-        ValueId a = d0;
-        for (int k = 0; k < 24; ++k)
-            a = b.sub(b.add(a, n0), n0);
-        ValueId r = b.range(b.constScalarI64(0), a, b.constScalarI64(1));
-        ValueId rf = b.cast(r, DType::kFloat32);
-        ValueId y = b.add(x, rf);
-        b.output(b.reduceSum(y, {0, 1}, false));
-        m.rdp.inputShapes["x"] = ShapeInfo::ranked(
-            {DimValue::symbol("n"), DimValue::symbol("d")});
-        return m;
-    }
-};
-
-/** One baseline-vs-promoted comparison on a fixed input stream. */
-struct TierComparison
-{
-    double p50T0 = 0, p50T1 = 0, p95T0 = 0, p95T1 = 0;
-    double speedup = 0;
-    bool promoted = false;
-    bool equal = false;
-};
-
-TierComparison
-compareTiers(const Graph* graph, const RdpOptions& rdp,
-             const std::vector<Tensor>& inputs, int runs)
-{
-    Sod2Options base_opts;
-    base_opts.rdp = rdp;
-    base_opts.specializeAfter = 0;  // symbolic plan-cache baseline
-    Sod2Engine base(graph, base_opts);
-
-    Sod2Options tier_opts;
-    tier_opts.rdp = rdp;
-    tier_opts.specializeAfter = 4;
-    Sod2Engine tiered(graph, tier_opts);
-
-    // Warm both engines to their steady state: the baseline to
-    // cache+memo hits, the tiered engine past the promotion threshold
-    // (then wait out the background compile).
-    RunContext base_ctx, tier_ctx;
-    RunStats stats;
-    for (int i = 0; i < 6; ++i)
-        base.run(base_ctx, inputs, &stats);
-    auto want = snapshotOutputs(base.run(base_ctx, inputs));
-    for (int i = 0; i < 6; ++i)
-        tiered.run(tier_ctx, inputs, &stats);
-    tiered.quiesceSpecialization();
-    auto got = tiered.run(tier_ctx, inputs, &stats);
-
-    TierComparison c;
-    c.promoted = stats.planTier == 1;
-    c.equal = snapshotOutputs(got) == want;
-
-    std::vector<double> s0, s1;
-    timedPairs(base, base_ctx, tiered, tier_ctx, inputs, runs, &s0, &s1);
-    SampleStats t0(s0);
-    SampleStats t1(s1);
-    c.p50T0 = t0.percentile(0.5);
-    c.p50T1 = t1.percentile(0.5);
-    c.p95T0 = t0.percentile(0.95);
-    c.p95T1 = t1.percentile(0.95);
-    c.speedup = c.p50T1 > 0 ? c.p50T0 / c.p50T1 : 0.0;
-    return c;
-}
-
-void
-printComparison(const std::string& name, const TierComparison& c,
-                int runs)
-{
-    printRow({name, fmtMs(c.p50T0), fmtMs(c.p50T1),
-              strFormat("%.2fx", c.speedup), c.promoted ? "1" : "0",
-              c.equal ? "bit-exact" : "MISMATCH"});
-    std::printf("JSON: {\"bench\":\"steady_state_specialize\","
-                "\"model\":\"%s\",\"runs\":%d,"
-                "\"p50_ms_tier0\":%.4f,\"p50_ms_tier1\":%.4f,"
-                "\"p95_ms_tier0\":%.4f,\"p95_ms_tier1\":%.4f,"
-                "\"p50_speedup\":%.3f,\"promoted\":%s,"
-                "\"outputs_bit_exact\":%s}\n",
-                name.c_str(), runs, c.p50T0 * 1e3, c.p50T1 * 1e3,
-                c.p95T0 * 1e3, c.p95T1 * 1e3, c.speedup,
-                c.promoted ? "true" : "false",
-                c.equal ? "true" : "false");
-}
-
-/**
- * The --specialize comparison. Per model: a plan-cache baseline engine
- * (tier-0 steady state) vs an engine whose hot signature was promoted
- * to tier-1 by the background specializer, same fixed input stream.
- * Gate: bit-exact + promoted across the whole zoo, and >= 1.15x p50
- * on the shape-computation-bound stream the all-known regime targets.
- */
-int
-specializeMain(int runs)
-{
-    printHeader(
-        strFormat("Tiered specialization: steady-state wall p50, "
-                  "tier-0 plan cache vs promoted tier-1 (%d-run "
-                  "streams)",
-                  runs),
-        {"Model", "p50 t0 ms", "p50 t1 ms", "speedup", "tier",
-         "outputs"});
-
-    std::vector<double> speedups;
-    bool all_equal = true;
-    bool all_promoted = true;
-    for (const std::string& model_name : allModelNames()) {
-        Rng rng(1234);
-        ModelSpec spec = buildModel(model_name, rng);
-        int64_t hint =
-            spec.legalizeSize((spec.minSize + spec.maxSize) / 2);
-        Rng in_rng(77);
-        auto inputs = spec.sample(in_rng, hint);
-
-        TierComparison c =
-            compareTiers(spec.graph.get(), spec.rdp, inputs, runs);
-        all_promoted = all_promoted && c.promoted;
-        all_equal = all_equal && c.equal;
-        speedups.push_back(c.speedup);
-        printComparison(spec.name, c, runs);
-    }
-
-    // The gated stream: one hot signature, shape computation dominant.
-    ShapeComputeModel sc = ShapeComputeModel::build();
-    Rng sc_rng(77);
-    std::vector<Tensor> sc_inputs = {
-        Tensor::randomUniform(Shape({4, 256}), sc_rng)};
-    TierComparison gate =
-        compareTiers(&sc.graph, sc.rdp, sc_inputs, runs);
-    all_promoted = all_promoted && gate.promoted;
-    all_equal = all_equal && gate.equal;
-    printComparison("ShapeCompute", gate, runs);
-    printSeparator();
-
-    double geo = geoMean(speedups);
-    std::printf(
-        "zoo (kernel-bound, bit-exactness sweep): p50 speedup geomean "
-        "%.2fx\n"
-        "shape-compute-bound stream: p50 speedup %.2fx  (gate: >= "
-        "1.15x — the folded shape computation, pre-bound offsets, and "
-        "pinned kernel versions the all-known regime deletes per "
-        "run)\n",
-        geo, gate.speedup);
-    std::printf("outputs tier-1 vs tier-0: %s; promotion: %s\n",
-                all_equal ? "bit-exact on every model" : "MISMATCH",
-                all_promoted ? "every model promoted" : "INCOMPLETE");
-    return all_equal && all_promoted && gate.speedup >= 1.15 ? 0 : 1;
-}
-
 }  // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     int runs = runCount();
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--specialize") == 0)
-            return specializeMain(runs);
     printHeader(strFormat("Steady-state plan cache: %d-run repeated-shape "
                           "streams (SOD2_BENCH_RUNS to change)",
                           runs),

@@ -129,11 +129,8 @@ buildVersionSelectors(const Graph& graph,
 std::vector<GroupKernelChoice>
 resolveVersions(const std::vector<VersionSelector>& selectors,
                 const TunedVersions& versions,
-                const std::map<std::string, int64_t>& bindings,
-                int* unresolved)
+                const std::map<std::string, int64_t>& bindings)
 {
-    if (unresolved)
-        *unresolved = 0;
     std::vector<GroupKernelChoice> choices(selectors.size());
     for (size_t gi = 0; gi < selectors.size(); ++gi) {
         const VersionSelector& sel = selectors[gi];
@@ -145,16 +142,12 @@ resolveVersions(const std::vector<VersionSelector>& selectors,
             if (m && n && k) {
                 choice.kind = GroupKernelChoice::Kind::kGemm;
                 choice.gemm = versions.gemmFor(*m, *n, *k);
-            } else if (unresolved) {
-                ++*unresolved;
             }
         } else if (sel.kind == VersionSelector::Kind::kConv) {
             auto boc = sel.batchTimesOc->evaluate(bindings);
             if (boc) {
                 choice.kind = GroupKernelChoice::Kind::kConv;
                 choice.conv = versions.convFor(*boc);
-            } else if (unresolved) {
-                ++*unresolved;
             }
         }
     }

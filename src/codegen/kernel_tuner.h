@@ -94,17 +94,11 @@ buildVersionSelectors(const Graph& graph,
 /**
  * Evaluates @p selectors under @p bindings and picks each group's
  * version from @p versions. Unresolvable selectors yield kDefault.
- * @p unresolved (optional) counts versioned selectors (kGemm/kConv)
- * whose dims did not evaluate under @p bindings — i.e. groups that
- * will fall back to concrete-shape classification at run time. The
- * specializer uses it to assert a tier-1 plan is fully pinned: under
- * an all-dims-known binding every versioned selector must resolve.
  */
 std::vector<GroupKernelChoice>
 resolveVersions(const std::vector<VersionSelector>& selectors,
                 const TunedVersions& versions,
-                const std::map<std::string, int64_t>& bindings,
-                int* unresolved = nullptr);
+                const std::map<std::string, int64_t>& bindings);
 
 /** GA auto-tuner configuration. */
 struct TunerOptions

@@ -72,18 +72,15 @@ PlanCache::insertLocked(uint64_t hash, std::vector<int64_t> values,
     if (it != index_.end()) {
         auto cit = chainFind(it->second, values);
         if (cit != it->second.end()) {
-            // In-place replace — the tier-up swap path. In-flight runs
-            // keep their shared_ptr to the old plan; new lookups (and
-            // memos, via the generation bump) see the new one.
+            // In-place replace; in-flight runs keep their shared_ptr to
+            // the old plan.
             (*cit)->plan = std::move(plan);
             entries_.splice(entries_.begin(), entries_, *cit);
-            generation_.fetch_add(1, std::memory_order_relaxed);
             return;
         }
     }
     entries_.push_front(Entry{hash, std::move(values), std::move(plan)});
     index_[hash].push_back(entries_.begin());
-    generation_.fetch_add(1, std::memory_order_relaxed);
     if (entries_.size() > capacity_) {
         if (Trace::enabled())
             Trace::threadBuffer().addInstant(
@@ -94,7 +91,6 @@ PlanCache::insertLocked(uint64_t hash, std::vector<int64_t> values,
         removeFromIndexLocked(entries_.back());
         entries_.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
-        generation_.fetch_add(1, std::memory_order_relaxed);
         metric_evictions_->add();
     }
 }
@@ -269,8 +265,6 @@ PlanCache::residentSignatures(size_t max) const
     for (const Entry& e : entries_) {
         if (out.size() >= max)
             break;
-        if (e.plan && e.plan->tier != 0)
-            continue;
         out.emplace_back(e.hash, e.values);
     }
     return out;

@@ -43,13 +43,6 @@
 
 namespace sod2 {
 
-/** Tier-1 execution artifact (core/specialization.h): the signature-
- *  specific fusion plan, execution order, and compiled groups a
- *  promoted PlanInstance runs with instead of the engine's symbolic
- *  compile-time artifacts. Held by shared_ptr so the cache never needs
- *  the complete type. */
-struct SpecializedExec;
-
 /** One fully instantiated runtime plan for a concrete shape signature. */
 struct PlanInstance
 {
@@ -64,13 +57,6 @@ struct PlanInstance
     size_t arenaBytes = 0;
     /** Per-group kernel-version choices (MVC, §4.4.2). */
     std::vector<GroupKernelChoice> versions;
-    /** 0 = symbolic compile-time plan; 1 = background-specialized
-     *  fully-static plan (DESIGN.md §13). */
-    int tier = 0;
-    /** Tier-1 only: the specialized execution artifact. When set,
-     *  @ref versions / @ref intervals / offsets are indexed by ITS
-     *  fusion groups and execution order, not the engine's. */
-    std::shared_ptr<const SpecializedExec> exec;
 };
 
 /**
@@ -149,32 +135,13 @@ class PlanCache
     size_t capacity() const { return capacity_; }
 
     /**
-     * The (hash, values) keys of up to @p max resident tier-0 entries,
+     * The (hash, values) keys of up to @p max resident entries,
      * most-recently-used first. The engine snapshot (core/snapshot.h)
      * persists these so a loaded engine can pre-instantiate the same
-     * hot signatures; tier-1 entries are excluded — they hold compiled
-     * artifacts a snapshot cannot carry, and re-promotion happens
-     * organically through the specializer. Does not bump recency.
+     * hot signatures. Does not bump recency.
      */
     std::vector<std::pair<uint64_t, std::vector<int64_t>>>
     residentSignatures(size_t max) const;
-
-    /**
-     * Content version of the cache: bumped on every insert, replace
-     * (tier-up swap), and eviction. A RunContext's last-plan memo
-     * records the generation it was filled under and refuses to serve
-     * once the generation moved on — so a promoted signature's next
-     * run re-reads the shared cache (and finds the tier-1 plan), and a
-     * memo never pins an evicted plan's memory indefinitely. Relaxed:
-     * the memo is an optimization, the shared lookup it falls back to
-     * is fully synchronized, and a stale read only costs one extra
-     * locked lookup.
-     */
-    uint64_t
-    generation() const
-    {
-        return generation_.load(std::memory_order_relaxed);
-    }
 
     /**
      * One mutually consistent view of all four cumulative counters.
@@ -265,7 +232,6 @@ class PlanCache
     /** hash -> in-flight instantiations (single-flight registry). */
     std::unordered_map<uint64_t, std::vector<std::shared_ptr<Flight>>>
         inflight_;
-    std::atomic<uint64_t> generation_{0};
     std::atomic<size_t> hits_{0};
     std::atomic<size_t> misses_{0};
     std::atomic<size_t> evictions_{0};

@@ -91,21 +91,13 @@ class RunContext
      * routing same-signature requests to the same worker keeps its
      * context's memo hot. Cleared on rebind.
      *
-     * The memo is versioned against the cache: last_plan_generation_
-     * records PlanCache::generation() from when the memo was filled,
-     * and the engine refuses the memo once the cache's generation has
-     * moved on. Without the version check a memo could (a) keep
-     * serving the tier-0 plan forever after the background specializer
-     * swapped in a tier-1 plan for its signature, and (b) pin an
-     * evicted plan's arena-sized allocations indefinitely via this
-     * shared_ptr while the cache believes the memory was reclaimed.
-     * The cost of invalidating on ANY cache mutation (not just this
-     * signature's) is one extra locked lookup after an unrelated
-     * insert — fine in steady state, where the cache is quiescent.
+     * Keyed on (hash, binding values) alone: a plan is a pure function
+     * of the engine and the binding, so a memo outliving its cache
+     * entry's eviction still holds the right plan. It pins at most that
+     * one PlanInstance (offset and interval tables, not arena bytes).
      */
     std::shared_ptr<const PlanInstance> last_plan_;
     uint64_t last_plan_hash_ = 0;
-    uint64_t last_plan_generation_ = 0;
     std::vector<int64_t> last_plan_values_;
     /** Per-context trace lane (inert unless tracing is enabled). */
     TraceBuffer trace_;

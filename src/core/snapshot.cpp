@@ -297,8 +297,8 @@ parseCell(Toks& t)
 // ---------------------------------------------------------------------
 // Options fingerprint: canonical text over every option that changes
 // the compiled artifact. Runtime-only knobs (cache capacity, guardrail
-// defaults, specialization threshold, device profile) are deliberately
-// excluded — the artifact is identical across them.
+// defaults, device profile) are deliberately excluded — the artifact
+// is identical across them.
 // ---------------------------------------------------------------------
 
 std::string
@@ -319,12 +319,6 @@ optionsFingerprint(const Sod2Options& o)
         os << "inrank " << name << " = " << rank << '\n';
     os << "rdp.back=" << o.rdp.enableBackward
        << " rdp.maxit=" << o.rdp.maxIterations << '\n';
-    for (const auto& scenario : o.sep.scenarioBindings) {
-        os << "scenario";
-        for (const auto& [sym, val] : scenario)
-            os << ' ' << sym << '=' << val;
-        os << '\n';
-    }
     return os.str();
 }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "core/specialization.h"
 #include "memory/branch_colors.h"
 #include "memory/lifetime.h"
 #include "memory/planners.h"
@@ -176,7 +175,7 @@ Sod2Engine::Sod2Engine(const Graph* graph, Sod2Options options,
     finishCompile();
 
     // Re-warm the plan cache: instantiate each persisted hot signature
-    // so the first request of a known shape is already a tier-0 hit,
+    // so the first request of a known shape is already a cache hit,
     // exactly as warmup() would have left it. Warm entries are hints,
     // not contract — one that no longer instantiates (e.g. a file
     // edited after the validated header) is skipped with a warning,
@@ -308,17 +307,6 @@ Sod2Engine::finishCompile()
             }
         }
     }
-
-    // (6) Tiered specialization (DESIGN.md §13): profile signatures on
-    // the run path and promote hot ones to fully-static tier-1 plans on
-    // a background thread. Opt-in (SOD2_SPECIALIZE / specializeAfter);
-    // needs the plan cache as the swap point.
-    int after = options_.specializeAfter;
-    if (after < 0)
-        after = env::specializeAfter();
-    if (after > 0 && plan_cache_)
-        specializer_ = std::make_unique<Specializer>(
-            this, static_cast<uint32_t>(after));
 }
 
 CompiledArtifact
@@ -401,7 +389,6 @@ Sod2Engine::bindContext(RunContext& ctx) const
     // only key plans within one compiled engine.
     ctx.last_plan_.reset();
     ctx.last_plan_hash_ = 0;
-    ctx.last_plan_generation_ = 0;
     ctx.last_plan_values_.clear();
 }
 
@@ -534,15 +521,10 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
     bool cache_hit = false;
     bool context_hit = false;
     if (plan_cache_) {
-        // The memo is versioned against the cache generation, read
-        // BEFORE the lookup: any insert/replace/evict since the memo
-        // was filled invalidates it, so a tier-up swap (or eviction)
-        // is observed on the very next run even on warm workers. A
-        // generation read after the lookup could tag the memo with a
-        // concurrent swap it did not see, pinning a stale plan.
-        const uint64_t cache_gen = plan_cache_->generation();
+        // A plan is a pure function of the engine and the binding, so
+        // an equal signature may reuse the memo even after the shared
+        // cache evicted that plan.
         if (ctx.last_plan_ && ctx.last_plan_hash_ == hash &&
-            ctx.last_plan_generation_ == cache_gen &&
             ctx.last_plan_values_ == ctx.binding_values_) {
             inst = ctx.last_plan_;
             cache_hit = true;
@@ -560,39 +542,17 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
             cache_hit = !instantiated;
             ctx.last_plan_ = inst;
             ctx.last_plan_hash_ = hash;
-            ctx.last_plan_generation_ = cache_gen;
             ctx.last_plan_values_ = ctx.binding_values_;
         }
     } else {
         inst = instantiatePlan(binder_->toBindingMap(ctx.binding_values_));
     }
-    // Tier-0 runs feed the shape profiler; a threshold crossing hands
-    // the signature to the background specializer. Tier-1 runs are
-    // already promoted — never re-counted.
-    if (specializer_ && inst->tier == 0)
-        specializer_->noteRun(hash, ctx.binding_values_);
     if (tb)
         plan_span.setArgs(strFormat(
             "\"cache_hit\":%s,\"context_hit\":%s",
             cache_hit ? "true" : "false",
             context_hit ? "true" : "false"));
     plan_span.end();
-
-    // Execution view: tier-0 reads the engine's compile-time artifacts;
-    // a tier-1 plan carries its own (re-fused groups, specialized
-    // order, compiled kernels) in its SpecializedExec — the rest of the
-    // run path is tier-agnostic through these references.
-    const SpecializedExec* sx = inst->exec.get();
-    const FusionPlan& fusion = sx ? sx->fusion : fusion_;
-    const ExecutionPlan& plan = sx ? sx->plan : plan_;
-    const std::vector<CompiledGroup>& compiled =
-        sx ? sx->compiled : compiled_;
-    const std::vector<int>& step_of_group =
-        sx ? sx->stepOfGroup : step_of_group_;
-    const std::vector<int>& subgraph_of_group =
-        sx ? sx->subgraphOfGroup : subgraph_of_group_;
-    const std::vector<bool>& group_folded =
-        sx ? sx->groupFolded : group_folded_;
 
     const std::vector<size_t>& offset_of = *inst->offsetOfValue;
     size_t arena_bytes = inst->arenaBytes;
@@ -646,27 +606,22 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
     heap_scope.reset();
 
     std::vector<Tensor> env = ctx.folded_env_;
-    // Tier-1: seed the signature's specialize-time constants (folded
-    // shape-computation chains) on top of the compile-time folds.
-    if (sx)
-        for (const auto& [v, t] : sx->extraFolded)
-            env[v] = t;
     for (size_t i = 0; i < inputs.size(); ++i)
         env[g.inputIds()[i]] = inputs[i];
 
     std::vector<int> remaining_uses = base_remaining_uses_;
 
     int executed = 0;
-    std::vector<double> sg_seconds(plan.subgraphs.size(), 0.0);
+    std::vector<double> sg_seconds(plan_.subgraphs.size(), 0.0);
     std::vector<double> group_seconds;
     if (stats)
-        group_seconds.assign(fusion.numGroups(), 0.0);
+        group_seconds.assign(fusion_.numGroups(), 0.0);
 
     KernelConfig base_config;
     base_config.meter = simulated ? &meter : nullptr;
 
-    for (int gi : plan.order) {
-        if (group_folded[gi])
+    for (int gi : plan_.order) {
+        if (group_folded_[gi])
             continue;  // pre-computed at compile time
         // Group boundaries are the cooperative cancellation points of
         // the planned executor (the interpreter's analog is node
@@ -676,9 +631,9 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
             SOD2_THROW_CODE(ErrorCode::kDeadlineExceeded)
                 << "run exceeded its deadline of "
                 << opts.deadlineSeconds << " s before group " << gi
-                << " (step " << step_of_group[gi] << ")";
-        const CompiledGroup& cg = compiled[gi];
-        const FusionGroup& grp = fusion.groups[gi];
+                << " (step " << step_of_group_[gi] << ")";
+        const CompiledGroup& cg = compiled_[gi];
+        const FusionGroup& grp = fusion_.groups[gi];
         auto t_g = Clock::now();
         double sim_g = meter.seconds();
         double trace_ts = tb ? Trace::nowUs() : 0.0;
@@ -812,7 +767,7 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
                 SOD2_THROW_CODE(code)
                     << e.what() << " [while executing group " << gi
                     << " (op " << head.op << ", step "
-                    << step_of_group[gi] << ")]";
+                    << step_of_group_[gi] << ")]";
             }
             ++executed;
         }
@@ -837,7 +792,7 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
             }
         }
 
-        int si = subgraph_of_group[gi];
+        int si = subgraph_of_group_[gi];
         double attributed = simulated ? (meter.seconds() - sim_g)
                                       : secondsSince(t_g);
         sg_seconds[si] += attributed;
@@ -855,7 +810,7 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
                 head.op, "group", trace_ts, Trace::nowUs() - trace_ts,
                 strFormat("\"group\":%d,\"step\":%d,\"subgraph\":%d,"
                           "\"nodes\":%zu,\"version\":\"%s\"",
-                          gi, step_of_group[gi], si, grp.nodes.size(),
+                          gi, step_of_group_[gi], si, grp.nodes.size(),
                           version));
         }
     }
@@ -888,7 +843,6 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
                                       : 0);
         stats->planSeconds = plan_seconds;
         stats->planCacheHit = cache_hit;
-        stats->planTier = inst->tier;
         if (plan_cache_) {
             // One consistent snapshot: all four counters observed under
             // the cache lock, so their invariants hold even while other

@@ -49,8 +49,6 @@
 
 namespace sod2 {
 
-class Specializer;
-
 /** Which fusion proof strength the engine compiles with. */
 enum class FusionMode { kNone, kStatic, kRdp };
 
@@ -89,16 +87,6 @@ struct Sod2Options
      * knob for checking cached-plan reuse.
      */
     bool validateEveryPlan = false;
-    /**
-     * Tiered-specialization promotion threshold (DESIGN.md §13): after
-     * this many runs of one shape signature, a background thread
-     * recompiles it into a fully-static tier-1 plan and swaps it into
-     * the plan cache. > 0 = explicit threshold; 0 = disabled; negative
-     * (default) defers to SOD2_SPECIALIZE / SOD2_SPECIALIZE_AFTER
-     * (disabled when neither is set). Requires the plan cache
-     * (planCacheCapacity > 0) — tier-1 plans are published through it.
-     */
-    int specializeAfter = -1;
     DeviceProfile device = DeviceProfile::mobileCpu();
     SepOptions sep;
 };
@@ -267,9 +255,6 @@ struct RunStats
     /** True when this run reused a cached (or in-flight) plan instance
      *  instead of instantiating one itself. */
     bool planCacheHit = false;
-    /** Tier of the plan this run executed with: 0 = symbolic compile-
-     *  time plan, 1 = background-specialized fully-static plan. */
-    int planTier = 0;
     /** Cumulative plan-cache counters (since engine construction).
      *  Taken as one consistent snapshot under the cache lock, so
      *  hits + misses + coalesced equals the lookups completed at
@@ -338,9 +323,6 @@ class Sod2Engine
      */
     Sod2Engine(const Graph* graph, Sod2Options options,
                CompiledArtifact artifact);
-
-    /** Stops and joins the background specializer thread, if any. */
-    ~Sod2Engine();
 
     /**
      * Executes one inference through the engine-owned default context.
@@ -463,10 +445,6 @@ class Sod2Engine
     /** Outcome of the compile-time stackability proof. */
     const BatchInfo& batchInfo() const { return batch_info_; }
 
-    /** The background specializer (core/specialization.h), or null
-     *  when tiered specialization is disabled. */
-    const Specializer* specializer() const { return specializer_.get(); }
-
     /** True when this engine adopted a CompiledArtifact (snapshot
      *  load) instead of running the analysis phases itself. */
     bool loadedFromSnapshot() const { return loaded_from_snapshot_; }
@@ -474,20 +452,11 @@ class Sod2Engine
     /**
      * Copies this engine's persistable compile-time state into a
      * CompiledArtifact (the saveSnapshot input), including up to
-     * @p maxWarmEntries resident tier-0 plan-cache signatures.
+     * @p maxWarmEntries resident plan-cache signatures.
      * Thread-safe: reads only compiled state and the internally
      * synchronized cache.
      */
     CompiledArtifact exportArtifact(size_t maxWarmEntries = 16) const;
-
-    /**
-     * Blocks until the specializer's promotion queue is empty and no
-     * tier-1 compile is in flight (no-op when specialization is off).
-     * The serving layer calls this on drain/shutdown so a drained
-     * server also has no background recompilation mid-swap; safe to
-     * call concurrently with runs.
-     */
-    void quiesceSpecialization() const;
 
     /**
      * Batch-compatibility key of a canonical binding vector (from
@@ -518,8 +487,6 @@ class Sod2Engine
                               CostMeter* meter) const;
 
   private:
-    friend class Specializer;
-
     /** Shared constructor head: graph validation, registry freeze,
      *  trace/fault/metrics initialization. */
     void initCommon();
@@ -527,7 +494,7 @@ class Sod2Engine
      * Shared constructor tail: everything derivable from (graph_,
      * options_, rdp_, fusion_, plan_, versions_, folded_) — group
      * compilation, version selectors, binder, batchability, plan
-     * cache, step maps, DMP interval skeletons, specializer. Both the
+     * cache, step maps, DMP interval skeletons. Both the
      * analyzing constructor and artifact adoption end here, so derived
      * state never diverges between a compiled and a loaded engine.
      */
@@ -538,20 +505,6 @@ class Sod2Engine
      *  the plan cache memoizes. */
     std::shared_ptr<const PlanInstance>
     instantiatePlan(const std::map<std::string, int64_t>& bindings) const;
-    /**
-     * Recompiles @p values' signature into a fully-static tier-1 plan:
-     * all-dims-known RDP, concrete re-fusion, SEP under the one true
-     * binding, specialize-time constant folding, pre-bound DMP
-     * offsets, pinned MVC versions (defined in specialization.cpp).
-     * Throws on failure; never touches serving state.
-     */
-    std::shared_ptr<const PlanInstance>
-    buildSpecializedPlan(const std::vector<int64_t>& values) const;
-    /** Specializer entry: builds the tier-1 plan for (@p hash,
-     *  @p values) and atomically swaps it into the plan cache. Returns
-     *  false (leaving tier-0 serving) on any failure. */
-    bool specializeSignature(uint64_t hash,
-                             const std::vector<int64_t>& values) const;
     /** Binds @p inputs' shapes into @p values and returns the
      *  signature hash — the shared core of run() and signatureFor()
      *  (no input validation; callers do that first). */
@@ -627,16 +580,6 @@ class Sod2Engine
 
     /** True when construction adopted a CompiledArtifact. */
     bool loaded_from_snapshot_ = false;
-
-    /** Background tier-up worker (null when specialization is off).
-     *  Internally synchronized, like the cache it publishes through;
-     *  its thread only reads compiled state and inserts into the
-     *  cache, so const runs may poke it freely. MUST stay the last
-     *  data member: ~Specializer joins the compile thread, and that
-     *  thread reads other members (unplanned_offsets_, plan_cache_,
-     *  interval_templates_, ...) — declared any earlier, those would
-     *  be destroyed while a tier-1 compile is still in flight. */
-    std::unique_ptr<Specializer> specializer_;
 };
 
 }  // namespace sod2

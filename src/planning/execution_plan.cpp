@@ -358,28 +358,21 @@ buildExecutionPlan(const Graph& graph, const RdpResult& rdp,
     // symbols, so each candidate order is scored under several bindings:
     // all-small, all-nominal, and two skewed assignments.
     std::vector<std::map<std::string, int64_t>> scenarios;
-    if (!options.scenarioBindings.empty()) {
-        // Caller-supplied scenarios — the tier-1 specializer scores
-        // under the hot signature's single concrete binding (the
-        // all-dims-known regime).
-        scenarios = options.scenarioBindings;
-    } else {
-        std::vector<std::string> syms = rdp.symbolNames();
-        std::sort(syms.begin(), syms.end());
-        auto mk = [&](auto&& value_of) {
-            std::map<std::string, int64_t> m;
-            for (size_t i = 0; i < syms.size(); ++i)
-                m[syms[i]] = value_of(i);
-            return m;
-        };
-        scenarios.push_back(mk([&](size_t) { return int64_t{16}; }));
-        scenarios.push_back(
-            mk([&](size_t) { return options.nominalSymbolValue; }));
-        scenarios.push_back(mk(
-            [&](size_t i) { return i % 2 ? int64_t{16} : int64_t{256}; }));
-        scenarios.push_back(mk(
-            [&](size_t i) { return i % 2 ? int64_t{256} : int64_t{16}; }));
-    }
+    std::vector<std::string> syms = rdp.symbolNames();
+    std::sort(syms.begin(), syms.end());
+    auto mk = [&](auto&& value_of) {
+        std::map<std::string, int64_t> m;
+        for (size_t i = 0; i < syms.size(); ++i)
+            m[syms[i]] = value_of(i);
+        return m;
+    };
+    scenarios.push_back(mk([&](size_t) { return int64_t{16}; }));
+    scenarios.push_back(
+        mk([&](size_t) { return options.nominalSymbolValue; }));
+    scenarios.push_back(
+        mk([&](size_t i) { return i % 2 ? int64_t{16} : int64_t{256}; }));
+    scenarios.push_back(
+        mk([&](size_t i) { return i % 2 ? int64_t{256} : int64_t{16}; }));
 
     // --- Plan each partition -------------------------------------------
     for (const auto& members : partitions) {

@@ -20,8 +20,6 @@
  */
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "fusion/fusion_plan.h"
@@ -66,17 +64,6 @@ struct SepOptions
     int exhaustiveLimit = 10;    ///< max groups for exhaustive search
     int maxSearchStates = 50000; ///< branch-and-bound state budget
     int64_t nominalSymbolValue = 128;  ///< symbol stand-in for mixed sgs
-    /**
-     * Explicit symbol scenarios to score candidate orders under,
-     * replacing the four synthetic assignments (all-small, nominal,
-     * two skewed). The tier-1 specializer (DESIGN.md §13) passes the
-     * ONE concrete binding of the hot signature here, which turns
-     * order scoring into the paper's all-dims-known regime: the search
-     * minimizes the true peak of live bytes for that signature instead
-     * of a compromise across hypothetical shapes. Empty = synthetic
-     * scenarios (the compile-time default).
-     */
-    std::vector<std::map<std::string, int64_t>> scenarioBindings;
 };
 
 ExecutionPlan buildExecutionPlan(const Graph& graph, const RdpResult& rdp,

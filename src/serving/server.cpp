@@ -857,18 +857,9 @@ void
 Sod2Server::drain()
 {
     start();  // a paused server cannot drain itself
-    const Sod2Engine* eng = nullptr;
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        idle_cv_.wait(
-            lock, [&] { return queued_count_ == 0 && inflight_ == 0; });
-        eng = engine_;
-    }
-    // "Drained" also means no background specialization mid-swap:
-    // quiesce after the request wait (the compile queue only grows
-    // from request runs, so it cannot refill once idle). Outside mu_ —
-    // the specializer has its own locks.
-    eng->quiesceSpecialization();
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock,
+                  [&] { return queued_count_ == 0 && inflight_ == 0; });
 }
 
 size_t
@@ -901,13 +892,11 @@ Sod2Server::swapEngine(const Sod2Engine* next, const SwapOptions& opts)
     // Phase 2 — atomic admission switch. From the next submit on,
     // every request validates against (and runs on) the green engine;
     // requests already admitted keep their engine pointer and epoch.
-    const Sod2Engine* old_engine = nullptr;
     uint64_t old_epoch = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (stopped_)
             return 0;  // shut down: nothing to swap to or from
-        old_engine = engine_;
         old_epoch = engine_epoch_;
         engine_ = next;
         ++engine_epoch_;
@@ -958,16 +947,12 @@ Sod2Server::swapEngine(const Sod2Engine* next, const SwapOptions& opts)
 
     // Phase 4 — drain blue. Its epoch's live count covers queued and
     // in-flight requests alike, so zero means every blue future is
-    // resolved; quiescing the specializer afterwards means no blue
-    // background compile is in flight either — the old engine may be
-    // destroyed the moment this returns.
+    // resolved — the old engine may be destroyed the moment this
+    // returns.
     if (opts.waitForDrain) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            idle_cv_.wait(lock,
-                          [&] { return epochLiveLocked(old_epoch) == 0; });
-        }
-        old_engine->quiesceSpecialization();
+        std::unique_lock<std::mutex> lock(mu_);
+        idle_cv_.wait(lock,
+                      [&] { return epochLiveLocked(old_epoch) == 0; });
     }
     return shed;
 }
@@ -1075,17 +1060,6 @@ Sod2Server::shutdown(bool drain_pending)
         }
         idle_cv_.notify_all();
     }
-
-    // Workers are gone, so no new promotions can be queued; wait out
-    // any in-flight specialization so the engine is fully quiescent
-    // when shutdown() returns (the engine's own destructor would also
-    // join, but callers deserve the stronger postcondition here).
-    const Sod2Engine* eng = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        eng = engine_;
-    }
-    eng->quiesceSpecialization();
 }
 
 ServerStats

@@ -206,8 +206,7 @@ struct SwapOptions
     bool hardCutover = false;
     /**
      * true (default): block until every old-engine request (queued and
-     * in-flight) has resolved and the old engine's background
-     * specializer is quiescent — on return the old engine may be
+     * in-flight) has resolved — on return the old engine may be
      * destroyed. false: return right after admission switches; the
      * CALLER must then keep the old engine alive until its last
      * request resolves.

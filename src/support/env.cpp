@@ -148,18 +148,6 @@ batchPad()
 }
 
 int
-specializeAfter()
-{
-    static const int value = [] {
-        int after = readPositiveInt("SOD2_SPECIALIZE_AFTER", 0);
-        if (after > 0)
-            return after;
-        return readFlag("SOD2_SPECIALIZE") ? 64 : 0;
-    }();
-    return value;
-}
-
-int
 breakerThreshold()
 {
     static const int value =

@@ -41,17 +41,6 @@ bool validatePlans();
 int numThreads();
 
 /**
- * SOD2_SPECIALIZE / SOD2_SPECIALIZE_AFTER — tiered-specialization
- * promotion threshold (DESIGN.md §13) for engines whose Sod2Options
- * leaves specializeAfter negative. SOD2_SPECIALIZE_AFTER=<n> enables
- * the background specializer and promotes a shape signature to a
- * fully-static tier-1 plan after n runs; SOD2_SPECIALIZE=1 enables it
- * at the default threshold (64). Returns 0 when neither is set
- * (specialization disabled). Cached at first query, once per process.
- */
-int specializeAfter();
-
-/**
  * SOD2_TRACE=1 — enables the span/event tracer (support/trace.h).
  * Cached at first query, once per process.
  */

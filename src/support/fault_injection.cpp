@@ -71,7 +71,7 @@ knownSites()
 {
     static const std::vector<std::string> sites = {
         kArenaAlloc, kPlanInstantiate, kKernelDispatch, kCacheInsert,
-        kSpecializeCompile, kFleetRoute};
+        kFleetRoute};
     return sites;
 }
 

@@ -54,9 +54,6 @@ inline constexpr const char* kPlanInstantiate = "plan.instantiate";
 inline constexpr const char* kKernelDispatch = "kernel.dispatch";
 /** PlanCache insert — publishing an instantiated plan to the LRU. */
 inline constexpr const char* kCacheInsert = "cache.insert";
-/** Specializer — background tier-1 recompilation of a hot signature
- *  (DESIGN.md §13); firing it must leave tier-0 serving untouched. */
-inline constexpr const char* kSpecializeCompile = "specialize.compile";
 /** Sod2Fleet routing — the router's chosen member is dead/faulted;
  *  firing it must fail over to the next-best member, typed, without
  *  dropping the request (DESIGN.md §16). */

@@ -127,11 +127,11 @@ TEST_F(FaultInjectionTest, DefaultErrorCodeIsInternal)
 TEST_F(FaultInjectionTest, CatalogListsEverySite)
 {
     const std::vector<std::string>& sites = fault::knownSites();
-    ASSERT_EQ(sites.size(), 6u);
+    ASSERT_EQ(sites.size(), 5u);
     for (const char* site :
          {fault::kArenaAlloc, fault::kPlanInstantiate,
           fault::kKernelDispatch, fault::kCacheInsert,
-          fault::kSpecializeCompile, fault::kFleetRoute})
+          fault::kFleetRoute})
         EXPECT_NE(std::find(sites.begin(), sites.end(), site),
                   sites.end())
             << site;
@@ -360,10 +360,6 @@ class FaultSiteTest : public ::testing::TestWithParam<std::string>
 TEST_P(FaultSiteTest, TypedErrorThenBitExactContextReuse)
 {
     const std::string& site = GetParam();
-    if (site == fault::kSpecializeCompile)
-        GTEST_SKIP() << "background-compile site: by contract it never "
-                        "fails a serving request (specialization_test "
-                        "covers its tier-0-keeps-serving semantics)";
     if (site == fault::kFleetRoute)
         GTEST_SKIP() << "fleet-router site: fires in Sod2Fleet::submit, "
                         "never inside an engine run (fleet_test covers "
@@ -405,9 +401,6 @@ TEST_P(FaultSiteTest, TypedErrorThenBitExactContextReuse)
 TEST_P(FaultSiteTest, FallbackServesFaultedRequest)
 {
     const std::string& site = GetParam();
-    if (site == fault::kSpecializeCompile)
-        GTEST_SKIP() << "background-compile site: no serving request "
-                        "fails, so there is nothing to fall back from";
     if (site == fault::kFleetRoute)
         GTEST_SKIP() << "fleet-router site: an engine run never passes "
                         "through it, so there is nothing to fall back "
@@ -469,10 +462,6 @@ class FaultStormTest : public ::testing::TestWithParam<std::string>
 TEST_P(FaultStormTest, OneTypedFailureZeroCorruptionUnderEightThreads)
 {
     const std::string& site = GetParam();
-    if (site == fault::kSpecializeCompile)
-        GTEST_SKIP() << "background-compile site: serving requests "
-                        "never consume it (specialization_test storms "
-                        "the specializer instead)";
     if (site == fault::kFleetRoute)
         GTEST_SKIP() << "fleet-router site: engine runs never consume "
                         "it (fleet_test storms the router instead)";

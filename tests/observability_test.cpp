@@ -3,7 +3,7 @@
  *  valid Chrome trace JSON), metrics counters/histograms aggregating
  *  across threads, the strict JSON validator, and the bench harness's
  *  geoMean guards and percentile columns. Labeled "observability" so
- *  scripts/check_observability.sh and the tsan preset can target it. */
+ *  scripts/check.sh observability and the tsan preset can target it. */
 
 #include <gtest/gtest.h>
 

@@ -487,16 +487,6 @@ TEST(Affinity, ShapeAffinityBeatsRoundRobinOnContextHits)
         opts.maxBatchSize = 1;
         opts.affinity = mode;
         Sod2Server server(&f.engine, opts);
-        // Cold-start both signatures synchronously before streaming: a
-        // mid-stream cache insert bumps the plan-cache generation and
-        // can land between the other worker's cache lookup and its
-        // memo write, costing an extra (legitimate) refresh that makes
-        // the hit floor below flaky.
-        for (int s = 0; s < 2; ++s) {
-            Request warm;
-            warm.inputs = {f.input(s, 30 + s)};
-            EXPECT_TRUE(server.run(std::move(warm)).ok());
-        }
         std::vector<std::future<RunResult>> futures;
         for (int i = 0; i < 16; ++i) {
             Request req;
@@ -512,13 +502,8 @@ TEST(Affinity, ShapeAffinityBeatsRoundRobinOnContextHits)
     size_t affinity_hits = runStream(AffinityMode::kShape);
     size_t rr_hits = runStream(AffinityMode::kRoundRobin);
     EXPECT_GT(affinity_hits, rr_hits);
-    // 16 streamed requests minus up to 2 memo refreshes per worker:
-    // the last-plan memo is versioned against the plan-cache
-    // generation, so the warmup inserts send each worker's first
-    // streamed run back through the shared cache once (still a cache
-    // hit — just not a memo hit). No mid-stream inserts remain, so
-    // the floor is deterministic.
-    EXPECT_GE(affinity_hits, 12u);
+    // Each worker's first run fills its memo; the other 14 runs reuse it.
+    EXPECT_EQ(affinity_hits, 14u);
     EXPECT_EQ(rr_hits, 0u);
 }
 

@@ -144,6 +144,14 @@ TEST(SnapshotFormat, HashesDiscriminate)
     EXPECT_EQ(snapshotOptionsHash(base), snapshotOptionsHash(base));
 }
 
+TEST(SnapshotFormat, DefaultOptionsHashIsStable)
+{
+    // Pinned value: snapshots written by earlier builds must keep
+    // loading, so the default options fingerprint may not drift when
+    // options outside it (or empty ones inside it) are removed.
+    EXPECT_EQ(snapshotOptionsHash(Sod2Options{}), 15371097013803145383u);
+}
+
 // --- roundtrip over the model zoo -------------------------------------
 
 class ZooSnapshot : public ::testing::TestWithParam<std::string>
@@ -356,9 +364,9 @@ TEST(SnapshotLifecycle, SourceDestructionDuringLoadInFlight)
     source->run({cnnInput(1, 16, 16, 9)});  // warm entry in the file
     saveSnapshot(*source, path);
 
-    // Load in one thread while the source engine (including its
-    // background specializer) is torn down in another: the snapshot
-    // borrows nothing from the source, so the load must succeed.
+    // Load in one thread while the source engine is torn down in
+    // another: the snapshot borrows nothing from the source, so the
+    // load must succeed.
     std::unique_ptr<Sod2Engine> loaded;
     std::thread loader(
         [&] { loaded = loadSnapshot(&m.graph, m.options(), path); });
