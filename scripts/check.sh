@@ -14,7 +14,7 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 all_labels=(concurrency observability faults serving snapshot resilience
-            fleet)
+            fleet kernels)
 if [ "$#" -gt 0 ]; then
     labels=("$@")
 else
@@ -71,7 +71,7 @@ EOF
 declare -A gated=()
 bench_gate() {
     case "$1" in
-      concurrency) ;;
+      concurrency|kernels) ;;
       observability) traced_serving ;;
       faults|resilience)
         # One soak covers both: its fault rounds gate typed errors and

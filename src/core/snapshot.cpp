@@ -41,7 +41,9 @@ fnv1a(const std::string& s, uint64_t h = kFnvOffset)
 }
 
 const char* const kMagic = "sod2snap";
-constexpr int kFormatVersion = 1;
+/** 2: the graph hash mixes 8-byte words (mixBytes), so a version-1
+ *  file reports STALE by version rather than as a changed model. */
+constexpr int kFormatVersion = 2;
 
 // ---------------------------------------------------------------------
 // Token spellings.
@@ -166,19 +168,24 @@ writeExpr(std::ostream& os, const SymExprPtr& e)
     writeExpr(os, e->rhs());
 }
 
-/** Whitespace tokenizer over one line of the snapshot body. */
+/** Whitespace tokenizer over one line of the snapshot body: a cursor
+ *  over its own copy of the line (an istringstream per line took over
+ *  half the parse time). */
 class Toks
 {
   public:
-    explicit Toks(const std::string& line) : in_(line) {}
+    explicit Toks(std::string line) : line_(std::move(line)) {}
 
     std::string
     next()
     {
-        std::string t;
-        if (!(in_ >> t))
+        skipSpace();
+        size_t start = pos_;
+        while (pos_ < line_.size() && !isSpace(line_[pos_]))
+            ++pos_;
+        if (pos_ == start)
             corrupt("truncated snapshot line");
-        return t;
+        return line_.substr(start, pos_ - start);
     }
 
     int64_t
@@ -216,20 +223,35 @@ class Toks
     bool
     done()
     {
-        return !(in_ >> std::ws) || in_.peek() == EOF;
+        skipSpace();
+        return pos_ == line_.size();
     }
 
     /** Raw unread remainder of the line (fold tensor payloads). */
     std::string
     rest()
     {
-        std::string r;
-        std::getline(in_, r);
+        std::string r = line_.substr(pos_);
+        pos_ = line_.size();
         return r;
     }
 
   private:
-    std::istringstream in_;
+    static bool
+    isSpace(char c)
+    {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;
+    }
+
+    void
+    skipSpace()
+    {
+        while (pos_ < line_.size() && isSpace(line_[pos_]))
+            ++pos_;
+    }
+
+    std::string line_;
+    size_t pos_ = 0;
 };
 
 /** Parses one prefix expression whose FIRST token is @p tok; operand
@@ -353,11 +375,22 @@ snapshotStatusName(SnapshotStatus s)
 
 namespace {
 
+/** FNV-1a over 8-byte words, then the tail bytes: one multiply per
+ *  word keeps hashing the weights cheap beside the rest of a load. A
+ *  difference in one word always changes the result (xor, then an odd
+ *  multiplier, are bijections). */
 void
 mixBytes(uint64_t& h, const void* data, size_t n)
 {
     const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
+    size_t i = 0;
+    for (; i + sizeof(uint64_t) <= n; i += sizeof(uint64_t)) {
+        uint64_t word;
+        std::memcpy(&word, p + i, sizeof(word));
+        h ^= word;
+        h *= kFnvPrime;
+    }
+    for (; i < n; ++i) {
         h ^= p[i];
         h *= kFnvPrime;
     }

@@ -13,37 +13,6 @@
 #include "tensor/broadcast.h"
 
 namespace sod2 {
-namespace {
-
-FusedOpCode
-opcodeFor(const std::string& name)
-{
-    if (name == "Add") return FusedOpCode::kAdd;
-    if (name == "Sub") return FusedOpCode::kSub;
-    if (name == "Mul") return FusedOpCode::kMul;
-    if (name == "Div") return FusedOpCode::kDiv;
-    if (name == "Pow") return FusedOpCode::kPow;
-    if (name == "Min") return FusedOpCode::kMin;
-    if (name == "Max") return FusedOpCode::kMax;
-    if (name == "Relu") return FusedOpCode::kRelu;
-    if (name == "LeakyRelu") return FusedOpCode::kLeakyRelu;
-    if (name == "Sigmoid") return FusedOpCode::kSigmoid;
-    if (name == "Tanh") return FusedOpCode::kTanh;
-    if (name == "Erf") return FusedOpCode::kErf;
-    if (name == "Exp") return FusedOpCode::kExp;
-    if (name == "Log") return FusedOpCode::kLog;
-    if (name == "Sqrt") return FusedOpCode::kSqrt;
-    if (name == "Neg") return FusedOpCode::kNeg;
-    if (name == "Abs") return FusedOpCode::kAbs;
-    if (name == "Round") return FusedOpCode::kRound;
-    if (name == "Clip") return FusedOpCode::kClip;
-    if (name == "Identity") return FusedOpCode::kIdentity;
-    if (name == "Softplus") return FusedOpCode::kSoftplus;
-    SOD2_THROW << "op '" << name << "' is not fusible";
-}
-
-}  // namespace
-
 CompiledGroup
 CompiledGroup::compile(const Graph& graph, const FusionGroup& group)
 {
@@ -87,12 +56,7 @@ CompiledGroup::compile(const Graph& graph, const FusionGroup& group)
         const Node& node = graph.node(group.nodes[i]);
         SOD2_CHECK_LT(next_reg, kMaxFusedRegisters)
             << "fusion group too large to compile";
-        FusedInstr ins;
-        ins.op = opcodeFor(node.op);
-        ins.p0 = static_cast<float>(node.attrs.getFloat(
-            node.op == "Clip" ? "min" : "alpha",
-            node.op == "Clip" ? -3.4e38 : 0.01));
-        ins.p1 = static_cast<float>(node.attrs.getFloat("max", 3.4e38));
+        FusedInstr ins = elementwiseInstr(node.op, node.attrs);
 
         auto operand = [&](ValueId v, int which) {
             auto it = reg_of.find(v);
@@ -201,18 +165,7 @@ CompiledGroup::run(const Graph& graph, const std::vector<Tensor>& ext,
                    anchor.attrs.getInt("pad", 0),
                    anchor.attrs.getInt("group", 1), config.conv, epi);
         } else if (anchor.op == "MatMul") {
-            matmul(anchor_ins[0], anchor_ins[1], &out, config.gemm);
-            if (epi) {
-                float* p = out.data<float>();
-                int64_t n = out.numElements();
-                parallelFor(
-                    n,
-                    [&](int64_t lo, int64_t hi) {
-                        for (int64_t i = lo; i < hi; ++i)
-                            p[i] = epi.apply(p[i], i);
-                    },
-                    1 << 14);
-            }
+            matmul(anchor_ins[0], anchor_ins[1], &out, config.gemm, epi);
         } else {
             SOD2_THROW << "unsupported heavy anchor " << anchor.op;
         }
@@ -249,7 +202,6 @@ CompiledGroup::run(const Graph& graph, const std::vector<Tensor>& ext,
     // the flat index directly (broadcastable + equal element count
     // implies equal extents modulo leading 1s).
     std::vector<bool> direct;
-    bool all_direct = true;
     ext_strides.reserve(ext.size());
     for (const Tensor& t : ext) {
         SOD2_CHECK(t.dtype() == DType::kFloat32)
@@ -257,40 +209,43 @@ CompiledGroup::run(const Graph& graph, const std::vector<Tensor>& ext,
         ext_strides.push_back(broadcastStrides(t.shape(), out_shape));
         ext_ptr.push_back(t.data<float>());
         direct.push_back(t.numElements() == out_shape.numElements());
-        all_direct = all_direct && direct.back();
     }
 
+    // Block evaluation: direct externals are read in place; broadcast
+    // ones are gathered into a stack buffer first, kGather floats
+    // shared among them (so blocks shrink when many broadcast).
+    constexpr int64_t kGather = 2048;
+    constexpr size_t kMaxExternals = 2 * kMaxFusedRegisters;
+    SOD2_CHECK_LE(ext.size(), kMaxExternals);
+    int64_t broadcast = std::count(direct.begin(), direct.end(), false);
+    int64_t block = std::min(kFusedBlock,
+                             kGather / std::max<int64_t>(1, broadcast));
     float* po = out.data<float>();
     int64_t n = out_shape.numElements();
-    if (all_direct) {
-        parallelFor(
-            n,
-            [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                    po[i] = evalFusedProgram(program_, 0.0f, anchorRegister_,
-                                        [&](int e) {
-                                            return ext_ptr[e][i];
-                                        });
+    parallelFor(
+        n,
+        [&](int64_t lo, int64_t hi) {
+            float gathered[kGather];
+            const float* block_ptr[kMaxExternals];
+            for (int64_t i0 = lo; i0 < hi; i0 += block) {
+                int64_t len = std::min(block, hi - i0);
+                float* buf = gathered;
+                for (size_t e = 0; e < ext.size(); ++e) {
+                    if (direct[e]) {
+                        block_ptr[e] = ext_ptr[e] + i0;
+                        continue;
+                    }
+                    for (int64_t i = 0; i < len; ++i)
+                        buf[i] = ext_ptr[e][broadcastIndex(
+                            i0 + i, out_strides, ext_strides[e])];
+                    block_ptr[e] = buf;
+                    buf += block;
                 }
-            },
-            1 << 13);
-    } else {
-        parallelFor(
-            n,
-            [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                    po[i] = evalFusedProgram(
-                        program_, 0.0f, anchorRegister_, [&](int e) {
-                            return direct[e]
-                                       ? ext_ptr[e][i]
-                                       : ext_ptr[e][broadcastIndex(
-                                             i, out_strides,
-                                             ext_strides[e])];
-                        });
-                }
-            },
-            1 << 13);
-    }
+                evalFusedBlock(program_, anchorRegister_, nullptr,
+                               block_ptr, 0, len, po + i0);
+            }
+        },
+        1 << 13);
 
     if (config.meter) {
         double bytes = 4.0 * n;

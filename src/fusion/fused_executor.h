@@ -6,10 +6,10 @@
  * Compiled execution of fusion groups.
  *
  * An elementwise chain compiles to a short register program evaluated
- * once per output element — the "green box" of paper Figure 4: one loop,
- * no intermediate tensors. A heavy group runs its Conv/MatMul anchor
- * through the regular kernel and applies the compiled program as a
- * scalar epilogue.
+ * block by block over the output — the "green box" of paper Figure 4:
+ * one pass, no intermediate tensors. A heavy group runs its Conv/MatMul
+ * anchor through the regular kernel, which applies the compiled
+ * program as an epilogue to each block it finishes.
  */
 
 #include <cstdint>

@@ -4,6 +4,20 @@
 
 namespace sod2 {
 
+bool
+hostHasAvx512f()
+{
+#if defined(__x86_64__)
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx512f") != 0;
+    }();
+    return has;
+#else
+    return false;
+#endif
+}
+
 DeviceProfile
 DeviceProfile::mobileCpu()
 {

@@ -52,6 +52,12 @@ struct DeviceProfile
     static DeviceProfile sd835Gpu();
 };
 
+/**
+ * True when the host CPU and OS support AVX-512F, so conv2d and the
+ * GEMM kernels take their AVX-512 path. Read once per process.
+ */
+bool hostHasAvx512f();
+
 /** Accumulates simulated time for one engine run. */
 class CostMeter
 {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <set>
+#include <unordered_map>
 
 #include "support/logging.h"
 #include "support/threadpool.h"
@@ -11,127 +11,97 @@
 
 namespace sod2 {
 
-float
-applyUnaryScalar(const std::string& name, float x, const AttrMap& attrs)
+namespace {
+
+/** One row of the elementwise op table. */
+struct ElementwiseOp
 {
-    switch (name[0]) {
-      case 'R':
-        if (name == "Relu")
-            return x > 0.0f ? x : 0.0f;
-        if (name == "Round")
-            return std::nearbyint(x);
-        break;
-      case 'S':
-        if (name == "Sigmoid")
-            return 1.0f / (1.0f + std::exp(-x));
-        if (name == "Sqrt")
-            return std::sqrt(x);
-        if (name == "Softplus")
-            return std::log1p(std::exp(x));
-        break;
-      case 'T':
-        if (name == "Tanh")
-            return std::tanh(x);
-        break;
-      case 'E':
-        if (name == "Erf")
-            return std::erf(x);
-        if (name == "Exp")
-            return std::exp(x);
-        break;
-      case 'L':
-        if (name == "LeakyRelu") {
-            float alpha = static_cast<float>(attrs.getFloat("alpha", 0.01));
-            return x > 0.0f ? x : alpha * x;
-        }
-        if (name == "Log")
-            return std::log(x);
-        break;
-      case 'N':
-        if (name == "Neg")
-            return -x;
-        if (name == "Not")
-            return x == 0.0f ? 1.0f : 0.0f;
-        break;
-      case 'A':
-        if (name == "Abs")
-            return std::fabs(x);
-        break;
-      case 'C':
-        if (name == "Clip") {
-            float lo = static_cast<float>(
-                attrs.getFloat("min", -3.4e38));
-            float hi = static_cast<float>(attrs.getFloat("max", 3.4e38));
-            return std::clamp(x, lo, hi);
-        }
-        break;
-      case 'I':
-        if (name == "Identity")
-            return x;
-        break;
-      default:
-        break;
-    }
-    SOD2_THROW << "no scalar unary implementation for op '" << name << "'";
+    const char* name;
+    FusedOpCode op;
+    int arity;
+    bool comparison;  ///< bool-valued (comparison / logical)
+};
+
+constexpr ElementwiseOp kElementwiseOps[] = {
+    {"Relu", FusedOpCode::kRelu, 1, false},
+    {"LeakyRelu", FusedOpCode::kLeakyRelu, 1, false},
+    {"Sigmoid", FusedOpCode::kSigmoid, 1, false},
+    {"Tanh", FusedOpCode::kTanh, 1, false},
+    {"Erf", FusedOpCode::kErf, 1, false},
+    {"Exp", FusedOpCode::kExp, 1, false},
+    {"Log", FusedOpCode::kLog, 1, false},
+    {"Sqrt", FusedOpCode::kSqrt, 1, false},
+    {"Neg", FusedOpCode::kNeg, 1, false},
+    {"Abs", FusedOpCode::kAbs, 1, false},
+    {"Round", FusedOpCode::kRound, 1, false},
+    {"Clip", FusedOpCode::kClip, 1, false},
+    {"Identity", FusedOpCode::kIdentity, 1, false},
+    {"Softplus", FusedOpCode::kSoftplus, 1, false},
+    {"Not", FusedOpCode::kNot, 1, false},
+    {"Add", FusedOpCode::kAdd, 2, false},
+    {"Sub", FusedOpCode::kSub, 2, false},
+    {"Mul", FusedOpCode::kMul, 2, false},
+    {"Div", FusedOpCode::kDiv, 2, false},
+    {"Pow", FusedOpCode::kPow, 2, false},
+    {"Min", FusedOpCode::kMin, 2, false},
+    {"Max", FusedOpCode::kMax, 2, false},
+    {"Mod", FusedOpCode::kMod, 2, false},
+    {"Equal", FusedOpCode::kEqual, 2, true},
+    {"Less", FusedOpCode::kLess, 2, true},
+    {"Greater", FusedOpCode::kGreater, 2, true},
+    {"And", FusedOpCode::kAnd, 2, true},
+    {"Or", FusedOpCode::kOr, 2, true},
+};
+
+const ElementwiseOp*
+findElementwiseOp(const std::string& name)
+{
+    static const std::unordered_map<std::string, const ElementwiseOp*>
+        kByName = [] {
+            std::unordered_map<std::string, const ElementwiseOp*> m;
+            for (const ElementwiseOp& e : kElementwiseOps)
+                m.emplace(e.name, &e);
+            return m;
+        }();
+    auto it = kByName.find(name);
+    return it == kByName.end() ? nullptr : it->second;
 }
 
-float
-applyBinaryScalar(const std::string& name, float a, float b)
+}  // namespace
+
+FusedInstr
+elementwiseInstr(const std::string& name, const AttrMap& attrs)
 {
-    if (name == "Add")
-        return a + b;
-    if (name == "Sub")
-        return a - b;
-    if (name == "Mul")
-        return a * b;
-    if (name == "Div")
-        return a / b;
-    if (name == "Pow")
-        return std::pow(a, b);
-    if (name == "Min")
-        return std::min(a, b);
-    if (name == "Max")
-        return std::max(a, b);
-    if (name == "Mod")
-        return std::fmod(a, b);
-    if (name == "Equal")
-        return a == b ? 1.0f : 0.0f;
-    if (name == "Less")
-        return a < b ? 1.0f : 0.0f;
-    if (name == "Greater")
-        return a > b ? 1.0f : 0.0f;
-    if (name == "And")
-        return (a != 0.0f && b != 0.0f) ? 1.0f : 0.0f;
-    if (name == "Or")
-        return (a != 0.0f || b != 0.0f) ? 1.0f : 0.0f;
-    SOD2_THROW << "no scalar binary implementation for op '" << name << "'";
+    const ElementwiseOp* e = findElementwiseOp(name);
+    SOD2_CHECK(e != nullptr) << "no elementwise op '" << name << "'";
+    FusedInstr ins;
+    ins.op = e->op;
+    bool clip = ins.op == FusedOpCode::kClip;
+    ins.p0 = static_cast<float>(
+        attrs.getFloat(clip ? "min" : "alpha", clip ? -3.4e38 : 0.01));
+    ins.p1 = static_cast<float>(attrs.getFloat("max", 3.4e38));
+    return ins;
 }
 
 bool
 isUnaryElementwise(const std::string& name)
 {
-    static const std::set<std::string> kOps = {
-        "Relu", "LeakyRelu", "Sigmoid", "Tanh", "Erf", "Exp", "Log",
-        "Sqrt", "Neg", "Abs", "Round", "Clip", "Identity", "Softplus",
-        "Not"};
-    return kOps.count(name) > 0;
+    const ElementwiseOp* e = findElementwiseOp(name);
+    return e != nullptr && e->arity == 1;
 }
 
 bool
 isBinaryElementwise(const std::string& name)
 {
-    static const std::set<std::string> kOps = {
-        "Add", "Sub", "Mul", "Div", "Pow", "Min", "Max", "Mod",
-        "Equal", "Less", "Greater", "And", "Or"};
-    return kOps.count(name) > 0;
+    const ElementwiseOp* e = findElementwiseOp(name);
+    return e != nullptr && e->arity == 2;
 }
 
 bool
 isComparison(const std::string& name)
 {
-    static const std::set<std::string> kOps = {"Equal", "Less", "Greater",
-                                               "And", "Or"};
-    return kOps.count(name) > 0;
+    const ElementwiseOp* e = findElementwiseOp(name);
+    return e != nullptr && e->comparison;
 }
 
 void
@@ -141,13 +111,14 @@ ewUnary(const std::string& name, const Tensor& in, Tensor* out,
     SOD2_CHECK(in.shape() == out->shape());
     int64_t n = in.numElements();
     if (in.dtype() == DType::kFloat32) {
+        FusedInstr ins = elementwiseInstr(name, attrs);
         const float* src = in.data<float>();
         float* dst = out->data<float>();
         parallelFor(
             n,
             [&](int64_t b, int64_t e) {
-                for (int64_t i = b; i < e; ++i)
-                    dst[i] = applyUnaryScalar(name, src[i], attrs);
+                applyFusedOpcodeBlock(ins, src + b, false, src + b, false,
+                                      dst + b, e - b);
             },
             1 << 14);
         return;
@@ -213,6 +184,63 @@ broadcastBinaryLoop(const Tensor& a, const Tensor& b, Tensor* out, Fn fn)
         1 << 12);
 }
 
+/**
+ * f32 ewBinary through the op table, kFusedBlock elements at a time. An
+ * operand is read directly at the flat index when it covers the whole
+ * output, as a scalar when it has one element, and gathered through
+ * its broadcast strides otherwise. @p to_bool writes op != 0 as bool.
+ */
+void
+ewBinaryF32(const FusedInstr& ins, const Tensor& a, const Tensor& b,
+            bool to_bool, Tensor* out)
+{
+    const Shape& os = out->shape();
+    int64_t n = os.numElements();
+    auto out_strides = os.strides();
+    struct Operand
+    {
+        const float* data;
+        std::vector<int64_t> strides;
+        bool direct, scalar;
+    };
+    auto operand = [&](const Tensor& t) {
+        return Operand{t.data<float>(), broadcastStrides(t.shape(), os),
+                       t.numElements() == n, t.numElements() == 1};
+    };
+    Operand oa = operand(a), ob = operand(b);
+    bool gathers = !(oa.direct || oa.scalar) || !(ob.direct || ob.scalar);
+    float* po = to_bool ? nullptr : out->data<float>();
+    bool* pbool = to_bool ? out->data<bool>() : nullptr;
+    parallelFor(
+        n,
+        [&](int64_t lo, int64_t hi) {
+            float ta[kFusedBlock], tb[kFusedBlock], tr[kFusedBlock];
+            auto block = [&](const Operand& o, int64_t i0, int64_t len,
+                             float* tmp) {
+                if (o.direct)
+                    return o.data + i0;
+                if (o.scalar)
+                    return o.data;
+                for (int64_t i = 0; i < len; ++i)
+                    tmp[i] = o.data[broadcastIndex(i0 + i, out_strides,
+                                                   o.strides)];
+                return static_cast<const float*>(tmp);
+            };
+            for (int64_t i0 = lo; i0 < hi; i0 += kFusedBlock) {
+                int64_t len = std::min(kFusedBlock, hi - i0);
+                const float* xa = block(oa, i0, len, ta);
+                const float* xb = block(ob, i0, len, tb);
+                float* r = to_bool ? tr : po + i0;
+                applyFusedOpcodeBlock(ins, xa, oa.scalar && !oa.direct, xb,
+                                      ob.scalar && !ob.direct, r, len);
+                if (to_bool)
+                    for (int64_t i = 0; i < len; ++i)
+                        pbool[i0 + i] = tr[i] != 0.0f;
+            }
+        },
+        gathers ? 1 << 12 : 1 << 14);
+}
+
 int64_t
 applyBinaryScalarI64(const std::string& name, int64_t a, int64_t b)
 {
@@ -256,17 +284,9 @@ ewBinary(const std::string& name, const Tensor& a, const Tensor& b,
          Tensor* out)
 {
     if (a.dtype() == DType::kFloat32) {
-        if (isComparison(name) && out->dtype() == DType::kBool) {
-            broadcastBinaryLoop<float, bool>(
-                a, b, out, [&](float x, float y) {
-                    return applyBinaryScalar(name, x, y) != 0.0f;
-                });
-        } else {
-            broadcastBinaryLoop<float, float>(
-                a, b, out, [&](float x, float y) {
-                    return applyBinaryScalar(name, x, y);
-                });
-        }
+        ewBinaryF32(elementwiseInstr(name, AttrMap{}), a, b,
+                    isComparison(name) && out->dtype() == DType::kBool,
+                    out);
         return;
     }
     if (a.dtype() == DType::kInt64) {

@@ -4,26 +4,25 @@
 /**
  * @file
  * Elementwise kernels: typed unary/binary application with NumPy
- * broadcasting, plus the scalar functor table the fused-group
- * interpreter reuses (fusion executes chains of these per element,
- * never materializing intermediates — paper Figure 4's green box).
+ * broadcasting. On f32 they resolve the op name once per call to the
+ * opcode table of kernels/fused_program.h, which fused chains also run
+ * (paper Figure 4's green box), and evaluate it block by block.
  */
 
 #include <cstdint>
 #include <string>
 
 #include "graph/attr.h"
+#include "kernels/fused_program.h"
 #include "tensor/tensor.h"
 
 namespace sod2 {
 
-/** Scalar unary f32 function for op @p name ("Relu", "Sigmoid", ...).
- *  @p attrs supplies op parameters (LeakyRelu alpha, Clip bounds). */
-float applyUnaryScalar(const std::string& name, float x,
-                       const AttrMap& attrs);
-
-/** Scalar binary f32 function for op @p name ("Add", "Mul", ...). */
-float applyBinaryScalar(const std::string& name, float a, float b);
+/** A one-op program instruction for elementwise op @p name ("Relu",
+ *  "Add", ...): its op-table opcode, with parameters read from @p attrs
+ *  (LeakyRelu alpha, Clip bounds); operands unset. Throws for a name
+ *  the table lacks. */
+FusedInstr elementwiseInstr(const std::string& name, const AttrMap& attrs);
 
 /** True when @p name is a registered unary elementwise op. */
 bool isUnaryElementwise(const std::string& name);

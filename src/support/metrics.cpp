@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <thread>
 
 #include "support/logging.h"
 #include "support/string_util.h"
@@ -67,6 +68,17 @@ Histogram::observe(double value)
 {
     auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
     size_t bucket = static_cast<size_t>(it - bounds_.begin());
+    // Announce, then check the epoch (sequentially consistent, mirrored
+    // in quiesced()): either this call sees the odd epoch and backs off,
+    // or the quiescer sees it in flight and waits for it.
+    for (;;) {
+        inflight_.fetch_add(1);
+        if ((epoch_.load() & 1) == 0)
+            break;
+        inflight_.fetch_sub(1);
+        while (epoch_.load() & 1)
+            std::this_thread::yield();
+    }
     buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     uint64_t old_bits = sum_bits_.load(std::memory_order_relaxed);
@@ -74,6 +86,21 @@ Histogram::observe(double value)
         old_bits, doubleBits(bitsDouble(old_bits) + value),
         std::memory_order_relaxed)) {
     }
+    // The quiescer's read of inflight_ == 0 orders these updates before
+    // whatever it reads or zeroes.
+    inflight_.fetch_sub(1);
+}
+
+template <typename Fn>
+void
+Histogram::quiesced(Fn&& fn) const
+{
+    std::lock_guard<std::mutex> lock(quiesce_mu_);
+    epoch_.fetch_add(1);
+    while (inflight_.load() != 0)
+        std::this_thread::yield();
+    fn();
+    epoch_.fetch_add(1);
 }
 
 double
@@ -95,22 +122,13 @@ Histogram::snapshot() const
     Snapshot s;
     s.bounds = &bounds_;
     s.buckets.resize(bounds_.size() + 1);
-    // Seqlock read: retry while a reset is in progress (odd epoch) or
-    // one completed mid-capture (epoch moved), so buckets and sum are
-    // always taken entirely before or entirely after any reset.
-    for (;;) {
-        uint64_t before = epoch_.load(std::memory_order_acquire);
-        if (before & 1)
-            continue;
-        s.count = 0;
+    quiesced([&] {
         for (size_t i = 0; i <= bounds_.size(); ++i) {
             s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
             s.count += s.buckets[i];
         }
         s.sum = sum();
-        if (epoch_.load(std::memory_order_acquire) == before)
-            break;
-    }
+    });
     return s;
 }
 
@@ -167,16 +185,12 @@ Histogram::bucketCount(size_t i) const
 void
 Histogram::reset()
 {
-    // Seqlock write: odd epoch marks the zeroing window so concurrent
-    // snapshot() calls retry instead of mixing pre- and post-reset
-    // state. Concurrent reset() calls are idempotent (both zero), so
-    // no writer lock is needed.
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-    for (size_t i = 0; i <= bounds_.size(); ++i)
-        buckets_[i].store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_bits_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
+    quiesced([&] {
+        for (size_t i = 0; i <= bounds_.size(); ++i)
+            buckets_[i].store(0, std::memory_order_relaxed);
+        count_.store(0, std::memory_order_relaxed);
+        sum_bits_.store(0, std::memory_order_relaxed);
+    });
 }
 
 MetricsRegistry&

@@ -8,10 +8,12 @@
  *
  * Where the tracer (support/trace.h) answers "where did *this* run
  * spend its time", metrics answer "what does the distribution look
- * like across the whole serving process". Counter and Histogram updates
- * are lock-free (relaxed atomics; the histogram sum uses a CAS loop so
- * no C++20 atomic<double> support is required), so N request threads
- * can observe into one histogram without serializing. Registry lookups
+ * like across the whole serving process". Counter updates are
+ * lock-free relaxed atomics; Histogram::observe is too (the sum uses a
+ * CAS loop so no C++20 atomic<double> support is required) except
+ * while a reset() or snapshot() holds the histogram still, so N
+ * request threads can observe into one histogram without serializing
+ * on each other. Registry lookups
  * take a mutex — resolve metric pointers once (construction time) and
  * reuse them on hot paths; pointers stay valid for the process
  * lifetime.
@@ -99,23 +101,27 @@ class Gauge
 /**
  * Fixed-bucket histogram. Bucket i counts observations v with
  * bounds[i-1] < v <= bounds[i]; one overflow bucket catches the rest.
- * observe() is wait-free per bucket; percentile() interpolates linearly
- * inside the selected bucket (bounded by the bucket resolution).
+ * percentile() interpolates linearly inside the selected bucket
+ * (bounded by the bucket resolution).
+ *
+ * observe() updates a bucket, the count and the sum as three separate
+ * atomics. reset() and snapshot() therefore quiesce writers first: they
+ * make an epoch odd, which new observe() calls wait out, and drain the
+ * count of observe() calls already in flight. So every observation
+ * lands wholly before or wholly after a reset, and a snapshot sees
+ * whole observations only.
  */
 class Histogram
 {
   public:
     /**
-     * One self-consistent view of the distribution. count is DERIVED
-     * from the captured buckets (not read from the count_ atomic), so
-     * bucket-sum == count holds by construction and every percentile
-     * is computed from the same bucket vector — reading count(),
-     * percentile(50), percentile(99) directly off the live histogram
-     * races concurrent observe() calls and can report bucket-sum !=
-     * count or non-monotonic percentiles (the torn-snapshot bug this
-     * type fixes). sum may lag buckets by in-flight observes (it is a
-     * separate CAS accumulator); mean() therefore clamps to the
-     * captured count.
+     * One consistent view of the distribution, captured with writers
+     * quiesced: buckets, count and sum all cover the same set of whole
+     * observations. count is derived from the captured buckets, and
+     * every percentile is computed from the same bucket vector —
+     * reading count(), percentile(50), percentile(99) directly off the
+     * live histogram races concurrent observe() calls and can report
+     * bucket-sum != count or non-monotonic percentiles.
      */
     struct Snapshot
     {
@@ -174,28 +180,31 @@ class Histogram
     uint64_t bucketCount(size_t i) const;
 
     /**
-     * Zeroes the distribution. Safe against concurrent snapshot() /
-     * percentile() readers: reset bumps a seqlock epoch (odd while the
-     * buckets are being zeroed), and snapshot() retries until it
-     * captures entirely on one side of the reset — so a reader never
-     * reports pre-reset buckets with a post-reset sum (or vice versa).
-     * Concurrent observe() calls may land on either side; each lands
-     * whole.
+     * Zeroes the distribution. Concurrent observe() calls land wholly
+     * before or wholly after it (bucket, count and sum together), and
+     * concurrent snapshot() calls see it entirely or not at all.
      */
     void reset();
 
   private:
+    /** Runs @p fn with observe() held off: takes the quiesce lock, makes
+     *  the epoch odd, and waits until no observe() is in flight. */
+    template <typename Fn>
+    void quiesced(Fn&& fn) const;
+
     std::vector<double> bounds_;
     /** bounds_.size() + 1 buckets; the last one is the overflow. */
     std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
     std::atomic<uint64_t> count_{0};
     /** Double bits in an atomic<uint64_t> (portable CAS accumulate). */
     std::atomic<uint64_t> sum_bits_{0};
-    /** Seqlock epoch for reset(): odd = reset in progress. snapshot()
-     *  re-reads until the epoch is even and unchanged across the
-     *  capture, making reset-vs-snapshot tear-free without putting a
-     *  lock on the observe() hot path. */
-    std::atomic<uint64_t> epoch_{0};
+    /** Serializes reset() and snapshot() against each other. */
+    mutable std::mutex quiesce_mu_;
+    /** Odd while reset() or snapshot() holds writers off. */
+    mutable std::atomic<uint64_t> epoch_{0};
+    /** observe() calls between their epoch check and their last
+     *  update. */
+    mutable std::atomic<uint64_t> inflight_{0};
 };
 
 /**

@@ -1,17 +1,23 @@
 /** Direct kernel tests: data-movement ops against naive references,
- *  parameterized over shapes (property-style sweeps). */
+ *  parameterized over shapes (property-style sweeps), and the
+ *  dispatched conv / GEMM / block-epilogue paths against the scalar
+ *  reference kernels, compared bit for bit. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "kernels/conv.h"
 #include "kernels/data_movement.h"
 #include "kernels/device_profile.h"
-#include "kernels/conv.h"
 #include "kernels/elementwise.h"
+#include "kernels/fused_program.h"
+#include "kernels/gemm.h"
 #include "kernels/reduce.h"
 #include "support/logging.h"
 #include "support/rng.h"
+#include "tensor/broadcast.h"
 
 namespace sod2 {
 namespace {
@@ -227,13 +233,19 @@ TEST(Reduce, ArgMaxInnerAxis)
 TEST(Elementwise, ScalarTableMatchesStd)
 {
     AttrMap attrs;
-    EXPECT_FLOAT_EQ(applyUnaryScalar("Sigmoid", 0.0f, attrs), 0.5f);
-    EXPECT_FLOAT_EQ(applyUnaryScalar("Tanh", 1.0f, attrs),
-                    std::tanh(1.0f));
-    EXPECT_FLOAT_EQ(applyUnaryScalar("Erf", 0.5f, attrs),
-                    std::erf(0.5f));
-    EXPECT_FLOAT_EQ(applyBinaryScalar("Pow", 2.0f, 10.0f), 1024.0f);
-    EXPECT_THROW(applyUnaryScalar("Nope", 1.0f, attrs), Error);
+    auto op = [&](const char* name, float a, float b = 0.0f) {
+        return applyFusedOpcode(elementwiseInstr(name, attrs), a, b);
+    };
+    EXPECT_FLOAT_EQ(op("Sigmoid", 0.0f), 0.5f);
+    EXPECT_FLOAT_EQ(op("Tanh", 1.0f), std::tanh(1.0f));
+    EXPECT_FLOAT_EQ(op("Erf", 0.5f), std::erf(0.5f));
+    EXPECT_FLOAT_EQ(op("Pow", 2.0f, 10.0f), 1024.0f);
+    EXPECT_FLOAT_EQ(op("Mod", 7.5f, 2.0f), std::fmod(7.5f, 2.0f));
+    EXPECT_EQ(op("Not", 0.0f), 1.0f);
+    EXPECT_EQ(op("Less", 1.0f, 2.0f), 1.0f);
+    EXPECT_EQ(op("And", 1.0f, 0.0f), 0.0f);
+    EXPECT_FLOAT_EQ(op("LeakyRelu", -2.0f), -0.02f);  // default alpha
+    EXPECT_THROW(elementwiseInstr("Nope", attrs), Error);
 }
 
 TEST(CostModel, RooflineBehaviour)
@@ -327,6 +339,359 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 2),   // pad
                        ::testing::Values(1, 2),      // group
                        ::testing::Values(1, 3)));    // kernel
+
+// ---- Bit identity of the dispatched kernels ------------------------
+//
+// conv2d, gemmF32 and matmul take the AVX-512 path on hosts with
+// AVX-512F; every output must equal the scalar reference kernel's bit
+// for bit (memcmp, no tolerance). On other hosts the dispatched call is
+// the reference itself and these tests hold trivially.
+
+/** Index of the first element whose bits differ, or -1. */
+int64_t
+firstBitDifference(const float* a, const float* b, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i)
+        if (std::memcmp(a + i, b + i, sizeof(float)) != 0)
+            return i;
+    return -1;
+}
+
+void
+expectBitIdentical(const Tensor& got, const Tensor& want,
+                   const std::string& what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    int64_t n = got.numElements();
+    if (std::memcmp(got.data<float>(), want.data<float>(),
+                    n * sizeof(float)) == 0)
+        return;
+    int64_t i = firstBitDifference(got.data<float>(), want.data<float>(), n);
+    ADD_FAILURE() << what << ": element " << i << " is "
+                  << got.data<float>()[i] << ", reference "
+                  << want.data<float>()[i];
+}
+
+/** A named epilogue program over anchor register 0; "residual" reads
+ *  external 0 (an output-shaped tensor). */
+struct EpilogueCase
+{
+    std::string name;
+    std::vector<FusedInstr> program;
+};
+
+FusedInstr
+instr(FusedOpCode op, int src0, int src1 = 0, bool binary = false)
+{
+    FusedInstr ins;
+    ins.op = op;
+    ins.src0 = src0;
+    ins.src1 = src1;
+    ins.src1Used = binary;
+    return ins;
+}
+
+std::vector<EpilogueCase>
+epilogueCases()
+{
+    FusedInstr leaky = instr(FusedOpCode::kLeakyRelu, 0);
+    leaky.p0 = 0.1f;
+    FusedInstr clip = instr(FusedOpCode::kClip, 0);
+    clip.p0 = -0.5f;
+    clip.p1 = 0.75f;
+    FusedInstr scaled = instr(FusedOpCode::kMul, 2, 0, true);
+    scaled.src1Scalar = true;
+    scaled.imm1 = 0.5f;
+    return {
+        {"none", {}},
+        {"Relu", {instr(FusedOpCode::kRelu, 0)}},
+        {"SiLU",
+         {instr(FusedOpCode::kSigmoid, 0),
+          instr(FusedOpCode::kMul, 0, 1, true)}},
+        {"LeakyRelu", {leaky}},
+        {"Clip", {clip}},
+        {"residual",
+         {instr(FusedOpCode::kAdd, 0, ~0, true),
+          instr(FusedOpCode::kRelu, 1), scaled}},
+    };
+}
+
+struct ConvCase
+{
+    int64_t n, c, h, w, oc, k, stride, pad, group;
+};
+
+std::string
+convName(const ConvCase& cc)
+{
+    return std::to_string(cc.n) + "x" + std::to_string(cc.c) + "x" +
+           std::to_string(cc.h) + "x" + std::to_string(cc.w) + " -> " +
+           std::to_string(cc.oc) + " k" + std::to_string(cc.k) + " s" +
+           std::to_string(cc.stride) + " p" + std::to_string(cc.pad) +
+           " g" + std::to_string(cc.group);
+}
+
+void
+PrintTo(const ConvCase& cc, std::ostream* os)
+{
+    *os << convName(cc);
+}
+
+/** conv2d against conv2dReference for every epilogue, with and without
+ *  bias, serial and parallel. */
+void
+expectConvBitIdentical(const ConvCase& cc)
+{
+    int64_t oh = (cc.h + 2 * cc.pad - cc.k) / cc.stride + 1;
+    int64_t ow = (cc.w + 2 * cc.pad - cc.k) / cc.stride + 1;
+    ASSERT_GT(oh, 0);
+    ASSERT_GT(ow, 0);
+    Rng rng(static_cast<uint64_t>(cc.c * 131 + cc.oc * 7 + cc.w));
+    Tensor x = Tensor::randomUniform(Shape({cc.n, cc.c, cc.h, cc.w}), rng);
+    Tensor wt = Tensor::randomUniform(
+        Shape({cc.oc, cc.c / cc.group, cc.k, cc.k}), rng);
+    Tensor bias = Tensor::randomUniform(Shape({cc.oc}), rng);
+    Shape os({cc.n, cc.oc, oh, ow});
+    Tensor residual = Tensor::randomUniform(os, rng);
+    const float* externals[] = {residual.data<float>()};
+    for (const EpilogueCase& ec : epilogueCases()) {
+        FusedEpilogue epi;
+        if (!ec.program.empty()) {
+            epi.program = &ec.program;
+            epi.externals = externals;
+        }
+        for (bool with_bias : {true, false}) {
+            for (bool parallel : {true, false}) {
+                ConvVariant v{8, parallel};
+                const Tensor* b = with_bias ? &bias : nullptr;
+                Tensor got(DType::kFloat32, os), want(DType::kFloat32, os);
+                conv2d(x, wt, b, &got, cc.stride, cc.pad, cc.group, v, epi);
+                conv2dReference(x, wt, b, &want, cc.stride, cc.pad,
+                                cc.group, v, epi);
+                expectBitIdentical(got, want,
+                                   convName(cc) + " epilogue=" + ec.name +
+                                       (with_bias ? " bias" : "") +
+                                       (parallel ? " par" : ""));
+            }
+        }
+    }
+}
+
+class ConvBitIdentity : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvBitIdentity, MatchesReference)
+{
+    expectConvBitIdentical(GetParam());
+}
+
+// The zoo's conv shape families (models/models_*.cpp).
+INSTANTIATE_TEST_SUITE_P(
+    ZooShapes, ConvBitIdentity,
+    ::testing::Values(
+        ConvCase{1, 3, 72, 120, 8, 8, 8, 0, 1},    // 8x8/s8 stems
+        ConvCase{1, 3, 64, 64, 16, 8, 8, 0, 1},
+        ConvCase{1, 3, 224, 224, 32, 8, 8, 0, 1},
+        ConvCase{1, 3, 64, 96, 8, 4, 4, 0, 1},     // 4x4/s4 stem
+        ConvCase{1, 16, 28, 28, 16, 3, 1, 1, 1},   // 3x3/s1
+        ConvCase{1, 32, 15, 13, 32, 3, 1, 1, 1},
+        ConvCase{1, 1, 40, 33, 8, 3, 2, 1, 1},     // 3x3/s2
+        ConvCase{1, 8, 21, 20, 8, 3, 2, 1, 1},
+        ConvCase{1, 8, 32, 32, 16, 3, 2, 1, 1},
+        ConvCase{1, 16, 29, 30, 32, 3, 2, 1, 1},
+        ConvCase{1, 16, 14, 14, 5, 1, 1, 0, 1},    // 1x1 heads
+        ConvCase{1, 32, 7, 7, 5, 1, 1, 0, 1},
+        ConvCase{1, 32, 16, 16, 1, 1, 1, 0, 1},
+        ConvCase{1, 48, 37, 1, 48, 3, 1, 1, 48},   // depthwise (Conformer)
+        ConvCase{1, 48, 9, 15, 48, 3, 1, 1, 48},
+        ConvCase{1, 8, 9, 17, 40, 3, 1, 1, 2}),    // 2 groups x 20 channels
+    [](const ::testing::TestParamInfo<ConvCase>& info) {
+        const ConvCase& c = info.param;
+        return "c" + std::to_string(c.c) + "o" + std::to_string(c.oc) +
+               "k" + std::to_string(c.k) + "s" + std::to_string(c.stride) +
+               "g" + std::to_string(c.group) + "w" + std::to_string(c.w);
+    });
+
+/** Register-block edges: output widths around the 14-pixel block (and
+ *  past the 128-pixel row segment), two images, 20 channels (a full and
+ *  a masked 16-channel block), and every pad 0-2 / stride 1-3 whose
+ *  output is non-empty. */
+class ConvEdgeBitIdentity : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(ConvEdgeBitIdentity, MatchesReference)
+{
+    int64_t width = GetParam();
+    for (int64_t stride = 1; stride <= 3; ++stride)
+        for (int64_t pad = 0; pad <= 2; ++pad)
+            if (width + 2 * pad >= 3)
+                expectConvBitIdentical(
+                    ConvCase{2, 3, 6, width, 20, 3, stride, pad, 1});
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, ConvEdgeBitIdentity,
+                         ::testing::Values(1, 13, 14, 15, 29, 300));
+
+/** gemmF32 against gemmF32Reference over m x n x k, with and without
+ *  bias. Covers 6-row tiles and their tails, 32-column panels, masked
+ *  column tails and k from 1. */
+class GemmBitIdentity : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(GemmBitIdentity, MatchesReference)
+{
+    int64_t m = GetParam();
+    for (int64_t n : {1, 2, 12, 16, 31, 32, 33, 48, 96}) {
+        for (int64_t k : {1, 8, 12, 48, 384}) {
+            Rng rng(static_cast<uint64_t>(m * 10007 + n * 101 + k));
+            Tensor a = Tensor::randomUniform(Shape({m, k}), rng);
+            Tensor b = Tensor::randomUniform(Shape({k, n}), rng);
+            Tensor bias = Tensor::randomUniform(Shape({n}), rng);
+            for (bool with_bias : {false, true}) {
+                const float* pb = with_bias ? bias.data<float>() : nullptr;
+                Tensor got(DType::kFloat32, Shape({m, n}));
+                Tensor want(DType::kFloat32, Shape({m, n}));
+                GemmVariant v;
+                gemmF32(a.data<float>(), b.data<float>(), got.data<float>(),
+                        m, n, k, v, pb);
+                gemmF32Reference(a.data<float>(), b.data<float>(),
+                                 want.data<float>(), m, n, k, v, pb);
+                expectBitIdentical(got, want,
+                                   "gemm " + std::to_string(m) + "x" +
+                                       std::to_string(n) + "x" +
+                                       std::to_string(k) +
+                                       (with_bias ? " bias" : ""));
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, GemmBitIdentity,
+                         ::testing::Values(1, 5, 6, 7, 13, 384));
+
+/** matmul (broadcast batch dims, one parallel pass over batch x row
+ *  block, epilogue per row block) against matmulReference. */
+TEST(MatmulBitIdentity, BroadcastBatchesAndEpilogues)
+{
+    struct Case
+    {
+        std::vector<int64_t> a, b;
+    };
+    const Case cases[] = {
+        {{1, 4, 7, 12}, {1, 4, 12, 7}},      // attention scores, 4 heads
+        {{1, 4, 33, 33}, {1, 4, 33, 12}},    // attention values
+        {{2, 3, 13, 12}, {3, 12, 33}},       // A batches broadcast over B
+        {{5, 6, 16}, {16, 31}},              // shared weights
+        {{1, 384, 48}, {48, 96}},            // FFN up-projection
+        {{1, 1, 4}, {4, 2}},                 // gate head
+    };
+    for (const Case& c : cases) {
+        Rng rng(static_cast<uint64_t>(c.a.back() * 31 + c.b.back()));
+        Tensor a = Tensor::randomUniform(Shape(c.a), rng);
+        Tensor b = Tensor::randomUniform(Shape(c.b), rng);
+        std::vector<int64_t> ba(c.a.begin(), c.a.end() - 2);
+        std::vector<int64_t> bb(c.b.begin(), c.b.end() - 2);
+        std::vector<int64_t> od =
+            broadcastShapes(Shape(ba), Shape(bb)).dims();
+        od.push_back(c.a[c.a.size() - 2]);
+        od.push_back(c.b.back());
+        Tensor residual = Tensor::randomUniform(Shape(od), rng);
+        const float* externals[] = {residual.data<float>()};
+        for (const EpilogueCase& ec : epilogueCases()) {
+            FusedEpilogue epi;
+            if (!ec.program.empty()) {
+                epi.program = &ec.program;
+                epi.externals = externals;
+            }
+            for (bool parallel : {true, false}) {
+                GemmVariant v;
+                v.parallel = parallel;
+                Tensor got(DType::kFloat32, Shape(od));
+                Tensor want(DType::kFloat32, Shape(od));
+                matmul(a, b, &got, v, epi);
+                matmulReference(a, b, &want, v, epi);
+                expectBitIdentical(got, want,
+                                   Shape(c.a).toString() + " x " +
+                                       Shape(c.b).toString() + " epilogue=" +
+                                       ec.name);
+            }
+        }
+    }
+}
+
+/** The block evaluator against the per-element one, over lengths
+ *  around kFusedBlock and a non-zero flat offset. */
+TEST(FusedBlockBitIdentity, MatchesPerElementEvaluation)
+{
+    Rng rng(23);
+    const int64_t total = 3 * kFusedBlock + 17;
+    Tensor anchor = Tensor::randomUniform(Shape({total}), rng, -4.0f, 4.0f);
+    Tensor residual = Tensor::randomUniform(Shape({total}), rng);
+    const float* externals[] = {residual.data<float>()};
+    for (const EpilogueCase& ec : epilogueCases()) {
+        if (ec.program.empty())
+            continue;
+        FusedEpilogue epi;
+        epi.program = &ec.program;
+        epi.externals = externals;
+        for (int64_t len : {int64_t{1}, kFusedBlock - 1, kFusedBlock,
+                            kFusedBlock + 1, 2 * kFusedBlock + 5}) {
+            const int64_t begin = 9;
+            std::vector<float> got(len), want(len);
+            epi.applyBlock(anchor.data<float>() + begin, got.data(), begin,
+                           len);
+            for (int64_t i = 0; i < len; ++i)
+                want[i] = epi.apply(anchor.data<float>()[begin + i],
+                                    begin + i);
+            EXPECT_EQ(firstBitDifference(got.data(), want.data(), len), -1)
+                << ec.name << " len " << len;
+            // In place, as the GEMM epilogue runs it.
+            std::vector<float> inplace(anchor.data<float>() + begin,
+                                       anchor.data<float>() + begin + len);
+            epi.applyBlock(inplace.data(), inplace.data(), begin, len);
+            EXPECT_EQ(firstBitDifference(inplace.data(), want.data(), len),
+                      -1)
+                << ec.name << " in place, len " << len;
+        }
+    }
+}
+
+TEST(FusedBlockBitIdentity, ElementwiseKernelsMatchOpTable)
+{
+    Rng rng(29);
+    Tensor a = Tensor::randomUniform(Shape({3, 200}), rng, -3.0f, 3.0f);
+    Tensor b = Tensor::randomUniform(Shape({3, 200}), rng, 0.5f, 3.0f);
+    Tensor row = Tensor::randomUniform(Shape({1, 200}), rng, 0.5f, 3.0f);
+    AttrMap attrs;
+    for (const char* name : {"Relu", "Sigmoid", "Tanh", "Exp", "Softplus",
+                             "Round", "Not", "LeakyRelu", "Clip"}) {
+        Tensor out(DType::kFloat32, a.shape());
+        ewUnary(name, a, &out, attrs);
+        FusedInstr ins = elementwiseInstr(name, attrs);
+        for (int64_t i = 0; i < a.numElements(); ++i) {
+            float want = applyFusedOpcode(ins, a.data<float>()[i], 0.0f);
+            ASSERT_EQ(std::memcmp(&out.data<float>()[i], &want, 4), 0)
+                << name << " at " << i;
+        }
+    }
+    for (const char* name : {"Add", "Sub", "Mul", "Div", "Pow", "Min", "Max",
+                             "Mod"}) {
+        for (const Tensor* rhs : {&b, &row}) {
+            Tensor out(DType::kFloat32, a.shape());
+            ewBinary(name, a, *rhs, &out);
+            FusedInstr ins = elementwiseInstr(name, attrs);
+            for (int64_t i = 0; i < a.numElements(); ++i) {
+                float y = rhs == &b ? b.data<float>()[i]
+                                    : row.data<float>()[i % 200];
+                float want = applyFusedOpcode(ins, a.data<float>()[i], y);
+                ASSERT_EQ(std::memcmp(&out.data<float>()[i], &want, 4), 0)
+                    << name << " at " << i;
+            }
+        }
+    }
+    Tensor less(DType::kBool, a.shape());
+    ewBinary("Less", a, row, &less);
+    for (int64_t i = 0; i < a.numElements(); ++i)
+        ASSERT_EQ(less.data<bool>()[i],
+                  a.data<float>()[i] < row.data<float>()[i % 200]);
+}
 
 }  // namespace
 }  // namespace sod2
