@@ -70,7 +70,7 @@ main()
         for (auto& [base, row] : rows)
             row.push_back(strFormat("%.2fx", run_engine(base) / sod2_avg));
     }
-    for (const std::string& base : {"ORT", "MNN", "TVM-N"})
+    for (const char* base : {"ORT", "MNN", "TVM-N"})
         printRow(rows[base]);
     std::printf("(paper: speedups grow with input size; "
                 "ORT 1.43-2.52x, MNN 1.41-1.65x, TVM-N 2.13-3.90x)\n");

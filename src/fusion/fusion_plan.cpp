@@ -117,7 +117,6 @@ struct Builder
         const Node& node = g.node(n);
         if (node.outputs.size() != 1 || !isF32(g, node.outputs[0]))
             return false;
-        ValueId out = node.outputs[0];
         bool unary = isUnaryElementwise(node.op);
         bool binary =
             isBinaryElementwise(node.op) && !isComparison(node.op);

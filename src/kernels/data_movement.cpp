@@ -5,47 +5,253 @@
 #include <numeric>
 
 #include "support/logging.h"
+#include "support/threadpool.h"
 
 namespace sod2 {
 namespace {
 
-/** Copies one element of @p elem_size bytes. */
-inline void
-copyElem(uint8_t* dst, const uint8_t* src, size_t elem_size)
+/** Dims stridedCopy walks on the stack. A box with more dims left after
+ *  canonicalisation runs the reference loop. */
+constexpr int kMaxCopyRank = 8;
+
+/** Bytes a row chunk must reach before a copy is split across the
+ *  pool. Splitting CodeBERT's head transposes (72 KiB at length 384)
+ *  measured slower than copying them on one thread (DESIGN.md §17). */
+constexpr int64_t kSplitBytes = int64_t{128} << 10;
+
+/** Panel rows shorter than this many elements are walked by columns. */
+constexpr int64_t kShortRun = 16;
+
+/**
+ * A copy box in canonical form: no extent-1 dims, no two adjacent dims
+ * that are contiguous on both sides, strides in bytes. It has at least
+ * two dims (padded on the outside with extent 1). The last two form the
+ * panel copyPanel copies; an odometer walks the ones outside it.
+ */
+struct CopyBox
 {
-    std::memcpy(dst, src, elem_size);
+    int rank = 0;
+    int64_t dims[kMaxCopyRank] = {};
+    int64_t dst[kMaxCopyRank] = {};
+    int64_t src[kMaxCopyRank] = {};
+};
+
+/** Canonicalises an element-stride box of @p esz-byte elements into
+ *  @p box; false when more than kMaxCopyRank dims remain. */
+bool
+canonicalize(const std::vector<int64_t>& dims,
+             const std::vector<int64_t>& dst_strides,
+             const std::vector<int64_t>& src_strides, int64_t esz,
+             CopyBox* box)
+{
+    int r = 0;
+    for (size_t d = 0; d < dims.size(); ++d) {
+        int64_t n = dims[d];
+        if (n == 1)
+            continue;
+        int64_t ds = dst_strides[d] * esz, ss = src_strides[d] * esz;
+        if (r > 0 && box->dst[r - 1] == ds * n && box->src[r - 1] == ss * n) {
+            // The outer dim steps exactly over this one on both sides.
+            box->dims[r - 1] *= n;
+            box->dst[r - 1] = ds;
+            box->src[r - 1] = ss;
+            continue;
+        }
+        if (r == kMaxCopyRank)
+            return false;
+        box->dims[r] = n;
+        box->dst[r] = ds;
+        box->src[r] = ss;
+        ++r;
+    }
+    int pad = std::max(0, 2 - r);
+    for (int d = r - 1; d >= 0; --d) {
+        box->dims[d + pad] = box->dims[d];
+        box->dst[d + pad] = box->dst[d];
+        box->src[d + pad] = box->src[d];
+    }
+    for (int d = 0; d < pad; ++d) {
+        box->dims[d] = 1;
+        box->dst[d] = 0;
+        box->src[d] = 0;
+    }
+    box->rank = r + pad;
+    return true;
+}
+
+/** Copies @p n elements of type T placed @p dstep and @p sstep bytes
+ *  apart; a source step of 0 broadcasts one element. */
+template <typename T>
+void
+copyRun(uint8_t* dst, const uint8_t* src, int64_t n, int64_t dstep,
+        int64_t sstep)
+{
+    T v;
+    if (sstep == 0) {
+        std::memcpy(&v, src, sizeof(T));
+        for (int64_t j = 0; j < n; ++j)
+            std::memcpy(dst + j * dstep, &v, sizeof(T));
+        return;
+    }
+    for (int64_t j = 0; j < n; ++j) {
+        std::memcpy(&v, src + j * sstep, sizeof(T));
+        std::memcpy(dst + j * dstep, &v, sizeof(T));
+    }
+}
+
+/** Copies a panel of @p rows runs of @p cols elements (byte strides). */
+template <typename T>
+void
+copyPanel(uint8_t* dst, const uint8_t* src, int64_t rows, int64_t drow,
+          int64_t srow, int64_t cols, int64_t dcol, int64_t scol)
+{
+    constexpr int64_t esz = sizeof(T);
+    if (dcol == esz && scol == esz) {
+        for (int64_t i = 0; i < rows; ++i)
+            std::memcpy(dst + i * drow, src + i * srow, cols * esz);
+        return;
+    }
+    // A short run pays its loop overhead every few elements, so walk
+    // such a panel by columns. Only short ones: the column walk writes
+    // every destination line once per column, which costs more than
+    // strided reads once a panel outgrows L1.
+    if (cols < kShortRun && rows > cols) {
+        std::swap(rows, cols);
+        std::swap(drow, dcol);
+        std::swap(srow, scol);
+    }
+    for (int64_t i = 0; i < rows; ++i)
+        copyRun<T>(dst + i * drow, src + i * srow, cols, dcol, scol);
+}
+
+/**
+ * Copies rows [begin, end) of @p b, where a row is one panel row under
+ * one odometer position. Only the start position is found by division.
+ */
+template <typename T>
+void
+copyRows(const CopyBox& b, uint8_t* dst, const uint8_t* src, int64_t begin,
+         int64_t end)
+{
+    const int outer = b.rank - 2;
+    const int64_t rows = b.dims[outer];
+    int64_t idx[kMaxCopyRank] = {};
+    int64_t pos = begin / rows, row = begin % rows;
+    int64_t doff = 0, soff = 0;
+    for (int d = outer - 1; d >= 0; --d) {
+        idx[d] = pos % b.dims[d];
+        pos /= b.dims[d];
+        doff += idx[d] * b.dst[d];
+        soff += idx[d] * b.src[d];
+    }
+    for (int64_t left = end - begin; left > 0;) {
+        int64_t n = std::min(rows - row, left);
+        copyPanel<T>(dst + doff + row * b.dst[outer],
+                     src + soff + row * b.src[outer], n, b.dst[outer],
+                     b.src[outer], b.dims[outer + 1], b.dst[outer + 1],
+                     b.src[outer + 1]);
+        left -= n;
+        row = 0;
+        for (int d = outer - 1; d >= 0; --d) {
+            doff += b.dst[d];
+            soff += b.src[d];
+            if (++idx[d] < b.dims[d])
+                break;
+            doff -= b.dims[d] * b.dst[d];
+            soff -= b.dims[d] * b.src[d];
+            idx[d] = 0;
+        }
+    }
+}
+
+template <typename T>
+void
+copyBox(const CopyBox& b, uint8_t* dst, const uint8_t* src)
+{
+    int64_t rows = 1;
+    for (int d = 0; d + 1 < b.rank; ++d)
+        rows *= b.dims[d];
+    int64_t row_bytes = b.dims[b.rank - 1] * static_cast<int64_t>(sizeof(T));
+    int64_t grain = (kSplitBytes + row_bytes - 1) / row_bytes;
+    // Under two chunks' worth, the copy stays on the calling thread.
+    if (rows < 2 * grain) {
+        copyRows<T>(b, dst, src, 0, rows);
+        return;
+    }
+    parallelFor(
+        rows,
+        [&](int64_t begin, int64_t end) {
+            copyRows<T>(b, dst, src, begin, end);
+        },
+        grain);
 }
 
 }  // namespace
 
 void
+stridedCopy(void* dst, const std::vector<int64_t>& dst_strides,
+            const void* src, const std::vector<int64_t>& src_strides,
+            const std::vector<int64_t>& dims, size_t elem_size)
+{
+    SOD2_CHECK_EQ(dst_strides.size(), dims.size());
+    SOD2_CHECK_EQ(src_strides.size(), dims.size());
+    for (int64_t n : dims)
+        if (n == 0)
+            return;
+    auto* d = static_cast<uint8_t*>(dst);
+    const auto* s = static_cast<const uint8_t*>(src);
+    CopyBox box;
+    if (canonicalize(dims, dst_strides, src_strides,
+                     static_cast<int64_t>(elem_size), &box)) {
+        switch (elem_size) {
+          case 1: copyBox<uint8_t>(box, d, s); return;
+          case 4: copyBox<uint32_t>(box, d, s); return;
+          case 8: copyBox<uint64_t>(box, d, s); return;
+          default: break;
+        }
+    }
+    stridedCopyReference(dst, dst_strides, src, src_strides, dims,
+                         elem_size);
+}
+
+void
+stridedCopyReference(void* dst, const std::vector<int64_t>& dst_strides,
+                     const void* src, const std::vector<int64_t>& src_strides,
+                     const std::vector<int64_t>& dims, size_t elem_size)
+{
+    SOD2_CHECK_EQ(dst_strides.size(), dims.size());
+    SOD2_CHECK_EQ(src_strides.size(), dims.size());
+    auto* d = static_cast<uint8_t*>(dst);
+    const auto* s = static_cast<const uint8_t*>(src);
+    Shape box(dims);
+    auto box_strides = box.strides();
+    int64_t n = box.numElements();
+    int64_t esz = static_cast<int64_t>(elem_size);
+    for (int64_t i = 0; i < n; ++i) {
+        int64_t rem = i, si = 0, di = 0;
+        for (size_t k = 0; k < dims.size(); ++k) {
+            int64_t coord = box_strides[k] ? rem / box_strides[k] : 0;
+            rem -= coord * box_strides[k];
+            si += coord * src_strides[k];
+            di += coord * dst_strides[k];
+        }
+        std::memcpy(d + di * esz, s + si * esz, elem_size);
+    }
+}
+
+void
 transpose(const Tensor& in, const std::vector<int64_t>& perm, Tensor* out)
 {
-    const Shape& is = in.shape();
-    int rank = is.rank();
+    int rank = in.shape().rank();
     SOD2_CHECK_EQ(static_cast<int>(perm.size()), rank);
-    auto in_strides = is.strides();
-    auto out_strides = out->shape().strides();
-    size_t esz = dtypeSize(in.dtype());
-    const uint8_t* src = static_cast<const uint8_t*>(in.raw());
-    uint8_t* dst = static_cast<uint8_t*>(out->raw());
-
-    // Map output coordinate d to input stride of perm[d].
-    std::vector<int64_t> gather_strides(rank);
+    auto in_strides = in.shape().strides();
+    // Output dim d walks input dim perm[d].
+    std::vector<int64_t> src_strides(rank);
     for (int d = 0; d < rank; ++d)
-        gather_strides[d] = in_strides[normalizeAxis(
-            static_cast<int>(perm[d]), rank)];
-
-    int64_t n = is.numElements();
-    for (int64_t i = 0; i < n; ++i) {
-        int64_t rem = i, si = 0;
-        for (int d = 0; d < rank; ++d) {
-            int64_t coord = out_strides[d] ? rem / out_strides[d] : 0;
-            rem -= coord * out_strides[d];
-            si += coord * gather_strides[d];
-        }
-        copyElem(dst + i * esz, src + si * esz, esz);
-    }
+        src_strides[d] =
+            in_strides[normalizeAxis(static_cast<int>(perm[d]), rank)];
+    stridedCopy(out->raw(), out->shape().strides(), in.raw(), src_strides,
+                out->shape().dims(), dtypeSize(in.dtype()));
 }
 
 void
@@ -68,78 +274,59 @@ slice(const Tensor& in, const std::vector<int64_t>& starts,
         step[axis] = steps.empty() ? 1 : steps[i];
         (void)ends;  // out's shape already encodes the extent
     }
+    if (out->numElements() == 0)
+        return;
 
     auto in_strides = is.strides();
-    auto out_strides = out->shape().strides();
-    size_t esz = dtypeSize(in.dtype());
-    const uint8_t* src = static_cast<const uint8_t*>(in.raw());
-    uint8_t* dst = static_cast<uint8_t*>(out->raw());
-    int64_t n = out->numElements();
-    for (int64_t i = 0; i < n; ++i) {
-        int64_t rem = i, si = 0;
-        for (int d = 0; d < rank; ++d) {
-            int64_t coord = out_strides[d] ? rem / out_strides[d] : 0;
-            rem -= coord * out_strides[d];
-            si += (start[d] + coord * step[d]) * in_strides[d];
-        }
-        copyElem(dst + i * esz, src + si * esz, esz);
+    int64_t offset = 0;
+    std::vector<int64_t> src_strides(rank);
+    for (int d = 0; d < rank; ++d) {
+        offset += start[d] * in_strides[d];
+        src_strides[d] = step[d] * in_strides[d];
     }
+    size_t esz = dtypeSize(in.dtype());
+    stridedCopy(out->raw(), out->shape().strides(),
+                static_cast<const uint8_t*>(in.raw()) + offset * esz,
+                src_strides, out->shape().dims(), esz);
 }
 
 void
 concat(const std::vector<Tensor>& ins, int axis, Tensor* out)
 {
     SOD2_CHECK(!ins.empty());
-    int rank = ins[0].shape().rank();
-    axis = normalizeAxis(axis, rank);
-    int64_t outer = 1, inner = 1;
-    for (int i = 0; i < axis; ++i)
-        outer *= out->shape().dim(i);
-    for (int i = axis + 1; i < rank; ++i)
-        inner *= out->shape().dim(i);
+    if (out->numElements() == 0)
+        return;
+    const Shape& os = out->shape();
+    axis = normalizeAxis(axis, os.rank());
+    auto out_strides = os.strides();
     size_t esz = dtypeSize(out->dtype());
     uint8_t* dst = static_cast<uint8_t*>(out->raw());
-    int64_t out_axis = out->shape().dim(axis);
-
     int64_t offset = 0;
     for (const Tensor& t : ins) {
-        int64_t ext = t.shape().dim(axis);
-        const uint8_t* src = static_cast<const uint8_t*>(t.raw());
-        for (int64_t o = 0; o < outer; ++o) {
-            std::memcpy(dst + ((o * out_axis + offset) * inner) * esz,
-                        src + (o * ext * inner) * esz,
-                        ext * inner * esz);
-        }
-        offset += ext;
+        stridedCopy(dst + offset * out_strides[axis] * esz, out_strides,
+                    t.raw(), t.shape().strides(), t.shape().dims(), esz);
+        offset += t.shape().dim(axis);
     }
 }
 
 void
 split(const Tensor& in, int axis, std::vector<Tensor>* outs)
 {
-    int rank = in.shape().rank();
-    axis = normalizeAxis(axis, rank);
-    int64_t outer = 1, inner = 1;
-    for (int i = 0; i < axis; ++i)
-        outer *= in.shape().dim(i);
-    for (int i = axis + 1; i < rank; ++i)
-        inner *= in.shape().dim(i);
+    const Shape& is = in.shape();
+    axis = normalizeAxis(axis, is.rank());
+    auto in_strides = is.strides();
     size_t esz = dtypeSize(in.dtype());
     const uint8_t* src = static_cast<const uint8_t*>(in.raw());
-    int64_t in_axis = in.shape().dim(axis);
-
     int64_t offset = 0;
     for (Tensor& t : *outs) {
         int64_t ext = t.shape().dim(axis);
-        uint8_t* dst = static_cast<uint8_t*>(t.raw());
-        for (int64_t o = 0; o < outer; ++o) {
-            std::memcpy(dst + (o * ext * inner) * esz,
-                        src + ((o * in_axis + offset) * inner) * esz,
-                        ext * inner * esz);
-        }
+        SOD2_CHECK_LE(offset + ext, is.dim(axis));
+        if (t.numElements() > 0)
+            stridedCopy(t.raw(), t.shape().strides(),
+                        src + offset * in_strides[axis] * esz, in_strides,
+                        t.shape().dims(), esz);
         offset += ext;
     }
-    SOD2_CHECK_LE(offset, in_axis);
 }
 
 void
@@ -175,29 +362,16 @@ gather(const Tensor& in, const Tensor& indices, int axis, Tensor* out)
 void
 expandTo(const Tensor& in, Tensor* out)
 {
+    const Shape& is = in.shape();
     const Shape& os = out->shape();
-    auto out_strides = os.strides();
-    std::vector<int64_t> in_strides(os.rank(), 0);
-    {
-        auto is = in.shape().strides();
-        for (int i = 0; i < in.shape().rank(); ++i) {
-            int d = os.rank() - in.shape().rank() + i;
-            in_strides[d] = in.shape().dim(i) == 1 ? 0 : is[i];
-        }
-    }
-    size_t esz = dtypeSize(in.dtype());
-    const uint8_t* src = static_cast<const uint8_t*>(in.raw());
-    uint8_t* dst = static_cast<uint8_t*>(out->raw());
-    int64_t n = os.numElements();
-    for (int64_t i = 0; i < n; ++i) {
-        int64_t rem = i, si = 0;
-        for (int d = 0; d < os.rank(); ++d) {
-            int64_t coord = out_strides[d] ? rem / out_strides[d] : 0;
-            rem -= coord * out_strides[d];
-            si += coord * in_strides[d];
-        }
-        copyElem(dst + i * esz, src + si * esz, esz);
-    }
+    auto in_strides = is.strides();
+    // Leading dims the input lacks, and its extent-1 dims, broadcast.
+    std::vector<int64_t> src_strides(os.rank(), 0);
+    for (int i = 0; i < is.rank(); ++i)
+        if (is.dim(i) != 1)
+            src_strides[os.rank() - is.rank() + i] = in_strides[i];
+    stridedCopy(out->raw(), os.strides(), in.raw(), src_strides, os.dims(),
+                dtypeSize(in.dtype()));
 }
 
 void
@@ -225,22 +399,21 @@ tile(const Tensor& in, const std::vector<int64_t>& repeats, Tensor* out)
 {
     const Shape& is = in.shape();
     const Shape& os = out->shape();
+    SOD2_CHECK_EQ(repeats.size(), static_cast<size_t>(is.rank()));
     auto in_strides = is.strides();
     auto out_strides = os.strides();
-    size_t esz = dtypeSize(in.dtype());
-    const uint8_t* src = static_cast<const uint8_t*>(in.raw());
-    uint8_t* dst = static_cast<uint8_t*>(out->raw());
-    SOD2_CHECK_EQ(repeats.size(), static_cast<size_t>(is.rank()));
-    int64_t n = os.numElements();
-    for (int64_t i = 0; i < n; ++i) {
-        int64_t rem = i, si = 0;
-        for (int d = 0; d < os.rank(); ++d) {
-            int64_t coord = out_strides[d] ? rem / out_strides[d] : 0;
-            rem -= coord * out_strides[d];
-            si += (coord % is.dim(d)) * in_strides[d];
-        }
-        copyElem(dst + i * esz, src + si * esz, esz);
+    // Output dim d is (repeat, extent): each repeat writes the next
+    // input-sized block of the output and re-reads the input.
+    std::vector<int64_t> dims, dst_strides, src_strides;
+    for (int d = 0; d < is.rank(); ++d) {
+        SOD2_CHECK_EQ(os.dim(d), is.dim(d) * repeats[d]);
+        dims.insert(dims.end(), {repeats[d], is.dim(d)});
+        dst_strides.insert(dst_strides.end(),
+                           {is.dim(d) * out_strides[d], out_strides[d]});
+        src_strides.insert(src_strides.end(), {0, in_strides[d]});
     }
+    stridedCopy(out->raw(), dst_strides, in.raw(), src_strides, dims,
+                dtypeSize(in.dtype()));
 }
 
 void
@@ -249,19 +422,12 @@ resizeNearest(const Tensor& in, int64_t sh, int64_t sw, Tensor* out)
     const Shape& is = in.shape();
     int64_t nc = is.dim(0) * is.dim(1);
     int64_t h = is.dim(2), w = is.dim(3);
-    int64_t oh = h * sh, ow = w * sw;
-    const float* src = in.data<float>();
-    float* dst = out->data<float>();
-    for (int64_t t = 0; t < nc; ++t) {
-        const float* ibase = src + t * h * w;
-        float* obase = dst + t * oh * ow;
-        for (int64_t y = 0; y < oh; ++y) {
-            const float* irow = ibase + (y / sh) * w;
-            float* orow = obase + y * ow;
-            for (int64_t x = 0; x < ow; ++x)
-                orow[x] = irow[x / sw];
-        }
-    }
+    SOD2_CHECK_EQ(out->numElements(), nc * h * sh * w * sw);
+    // Output [nc, h * sh, w * sw] read as [nc, h, sh, w, sw]: the sh and
+    // sw dims repeat one source element.
+    std::vector<int64_t> dims = {nc, h, sh, w, sw};
+    stridedCopy(out->raw(), Shape(dims).strides(), in.raw(),
+                {h * w, w, 0, 1, 0}, dims, dtypeSize(in.dtype()));
 }
 
 void

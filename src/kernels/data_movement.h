@@ -7,14 +7,47 @@
  * expand, pad, tile, resize, one-hot, eye-like, range, top-k, and the
  * execution-determined ops (NonZero, NonMaxSuppression) that must
  * allocate their own outputs.
+ *
+ * The layout ops (transpose, slice, concat, split, expand, tile,
+ * resize) describe their copy as one strided box and run stridedCopy.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.h"
 
 namespace sod2 {
+
+/**
+ * Copies a box of @p dims elements, each @p elem_size bytes, from
+ * @p src to @p dst. Element (i_0, ..., i_{r-1}) is read at element
+ * offset sum(i_d * src_strides[d]) from @p src and written at
+ * sum(i_d * dst_strides[d]) from @p dst. Strides count elements and may
+ * be negative; a source stride of 0 broadcasts. Destination elements
+ * must not overlap each other or the source.
+ *
+ * Extent-1 dims are dropped and dims contiguous on both sides merged;
+ * unit-stride innermost runs are copied with memcpy, and the outer dims
+ * are walked with an odometer (no divide per element, no allocation).
+ * Copies large enough to give every chunk about 128 KiB are split by
+ * rows across the thread pool.
+ */
+void stridedCopy(void* dst, const std::vector<int64_t>& dst_strides,
+                 const void* src, const std::vector<int64_t>& src_strides,
+                 const std::vector<int64_t>& dims, size_t elem_size);
+
+/**
+ * stridedCopy's contract as a per-element loop that finds each
+ * element's offsets with a divide and a modulo per dim: the
+ * bit-identity reference for tests.
+ */
+void stridedCopyReference(void* dst, const std::vector<int64_t>& dst_strides,
+                          const void* src,
+                          const std::vector<int64_t>& src_strides,
+                          const std::vector<int64_t>& dims,
+                          size_t elem_size);
 
 void transpose(const Tensor& in, const std::vector<int64_t>& perm,
                Tensor* out);
@@ -40,7 +73,7 @@ void pad2d(const Tensor& in, int64_t pad, float value, Tensor* out);
 void tile(const Tensor& in, const std::vector<int64_t>& repeats,
           Tensor* out);
 
-/** Nearest-neighbor upsampling by integer factors on NCHW. */
+/** Nearest-neighbor upsampling by integer factors on NCHW (any dtype). */
 void resizeNearest(const Tensor& in, int64_t sh, int64_t sw, Tensor* out);
 
 void eyeLike(const Tensor& in, Tensor* out);

@@ -11,7 +11,7 @@ namespace env {
 namespace {
 
 /**
- * Strict positive-integer parse shared by both width variants.
+ * Strict integer parse, at least @p min (0 or 1), shared by the readers.
  * atoi/atoll silently accepted trailing garbage ("8x" -> 8) and could
  * not tell "0"/malformed apart from unset, so a typo'd knob was
  * applied half-parsed without a word. strtoll validates the FULL
@@ -20,7 +20,8 @@ namespace {
  * value warns once naming the variable before the explicit fallback.
  */
 bool
-parsePositive(const char* name, const char* v, long long* out)
+parseAtLeast(const char* name, const char* v, long long min,
+             long long* out)
 {
     errno = 0;
     char* end = nullptr;
@@ -35,9 +36,10 @@ parsePositive(const char* name, const char* v, long long* out)
                         << "\" overflows; using the default";
         return false;
     }
-    if (n <= 0) {
+    if (n < min) {
         SOD2_LOG(kWarn) << name << "=" << n
-                        << " is not positive; using the default";
+                        << (min > 0 ? " is not positive" : " is negative")
+                        << "; using the default";
         return false;
     }
     *out = n;
@@ -58,7 +60,7 @@ readPositiveInt(const char* name, int fallback)
 {
     if (const char* v = std::getenv(name)) {
         long long n = 0;
-        if (!parsePositive(name, v, &n))
+        if (!parseAtLeast(name, v, 1, &n))
             return fallback;
         if (n > INT_MAX) {
             SOD2_LOG(kWarn) << name << "=" << n
@@ -75,7 +77,18 @@ readPositiveInt64(const char* name, long long fallback)
 {
     if (const char* v = std::getenv(name)) {
         long long n = 0;
-        if (parsePositive(name, v, &n))
+        if (parseAtLeast(name, v, 1, &n))
+            return n;
+    }
+    return fallback;
+}
+
+long long
+readNonNegativeInt64(const char* name, long long fallback)
+{
+    if (const char* v = std::getenv(name)) {
+        long long n = 0;
+        if (parseAtLeast(name, v, 0, &n))
             return n;
     }
     return fallback;
@@ -197,7 +210,7 @@ long long
 watchdogMillis()
 {
     static const long long value =
-        readPositiveInt64("SOD2_WATCHDOG_MS", 100);
+        readNonNegativeInt64("SOD2_WATCHDOG_MS", 100);
     return value;
 }
 

@@ -162,8 +162,9 @@ long long retryCapMicros();
 /**
  * SOD2_WATCHDOG_MS — scan interval of the server watchdog thread that
  * flags workers stuck past their run deadline plus grace, when
- * ServerOptions leaves watchdogIntervalMillis negative. Returns 100
- * when unset. Cached at first query, once per process.
+ * ServerOptions leaves watchdogIntervalMillis negative. 0 turns the
+ * watchdog off. Returns 100 when unset, negative or not an integer.
+ * Cached at first query, once per process.
  */
 long long watchdogMillis();
 
@@ -244,6 +245,10 @@ int readPositiveInt(const char* name, int fallback);
 /** Uncached low-level parse: @p name as a positive 64-bit int, else
  *  @p fallback (covers byte-sized knobs like SOD2_ARENA_BUDGET). */
 long long readPositiveInt64(const char* name, long long fallback);
+
+/** Uncached low-level parse: @p name as a 64-bit int >= 0, else
+ *  @p fallback (for knobs where 0 means off, like SOD2_WATCHDOG_MS). */
+long long readNonNegativeInt64(const char* name, long long fallback);
 
 }  // namespace env
 }  // namespace sod2

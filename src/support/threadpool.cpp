@@ -14,8 +14,9 @@ ThreadPool::ThreadPool(int num_threads)
         if (num_threads <= 0)
             num_threads = 4;
     }
-    // The caller participates in parallelFor, so spawn one fewer worker.
-    int workers = std::max(1, num_threads - 1);
+    // The caller participates in parallelFor, so spawn one fewer worker;
+    // a one-thread pool has none and runs every call inline.
+    int workers = num_threads - 1;
     workers_.reserve(workers);
     for (int i = 0; i < workers; ++i)
         workers_.emplace_back([this] { workerLoop(); });
@@ -94,20 +95,20 @@ ThreadPool::parallelFor(int64_t total,
 {
     if (total <= 0)
         return;
-    // Small ranges never touch the pool (no state allocation, no wake).
-    if (total <= std::max<int64_t>(1, grain_size)) {
+    // Small ranges, and every range of a one-thread pool, never touch
+    // the pool (no state allocation, no wake).
+    int64_t grain = std::max<int64_t>(1, grain_size);
+    if (total <= grain || workers_.empty()) {
         fn(0, total);
         return;
     }
-    int64_t max_chunks = numThreads() + 1;
+    // Cutting `total` into the planned number of chunks of ceil size
+    // can leave the last ones empty or inverted (5 over 4 gives per 2
+    // and a fourth chunk [6, 5)), so only the chunks that cover it run.
     int64_t chunks =
-        std::min<int64_t>(max_chunks,
-                          (total + std::max<int64_t>(1, grain_size) - 1) /
-                              std::max<int64_t>(1, grain_size));
-    if (chunks <= 1) {
-        fn(0, total);
-        return;
-    }
+        std::min<int64_t>(numThreads(), (total + grain - 1) / grain);
+    int64_t per = (total + chunks - 1) / chunks;
+    chunks = (total + per - 1) / per;
 
     // One shared state per call; workers claim chunk indices from the
     // atomic counter instead of receiving per-chunk closures.
@@ -115,7 +116,7 @@ ThreadPool::parallelFor(int64_t total,
     st->fn = &fn;
     st->total = total;
     st->chunks = chunks;
-    st->per = (total + chunks - 1) / chunks;
+    st->per = per;
     {
         std::lock_guard<std::mutex> lock(mu_);
         parallel_ = st;

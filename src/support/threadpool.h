@@ -31,7 +31,11 @@ namespace sod2 {
 class ThreadPool
 {
   public:
-    /** Creates @p num_threads workers (defaults to hardware concurrency). */
+    /**
+     * A pool of @p num_threads threads (<= 0: hardware concurrency): the
+     * caller of parallelFor plus num_threads - 1 workers. With 1 there
+     * are no workers and parallelFor runs inline.
+     */
     explicit ThreadPool(int num_threads = 0);
     ~ThreadPool();
 
@@ -41,12 +45,17 @@ class ThreadPool
     /** The process-wide pool used by kernels. */
     static ThreadPool& global();
 
-    int numThreads() const { return static_cast<int>(workers_.size()); }
+    /** Threads a parallelFor runs on: the workers plus the caller. */
+    int numThreads() const { return static_cast<int>(workers_.size()) + 1; }
 
     /**
-     * Runs fn(begin..end) partitioned into roughly equal contiguous chunks
-     * across the pool (plus the calling thread), blocking until done.
-     * Degenerates to a serial call when the range is small.
+     * Runs fn(begin..end) partitioned into equal contiguous chunks
+     * across the pool (plus the calling thread), blocking until done:
+     * min(numThreads(), ceil(total / grain_size)) chunks are planned,
+     * each of per = ceil(total / planned) iterations, and only
+     * ceil(total / per) of them run, so fn never sees an empty or
+     * inverted range. Degenerates to one inline call when the range is
+     * small or the pool has one thread.
      *
      * @param total       iteration count; fn receives [chunk_begin, chunk_end)
      * @param fn          callable of signature void(int64_t begin, int64_t end)

@@ -225,8 +225,9 @@ TEST(FusionPlan, NeverFusesAcrossControlFlow)
     FusionPlan plan = buildRdpFusionPlan(g, rdp);
     for (const auto& grp : plan.groups) {
         for (NodeId n : grp.nodes) {
-            if (g.node(n).op == kSwitchOp || g.node(n).op == kCombineOp)
+            if (g.node(n).op == kSwitchOp || g.node(n).op == kCombineOp) {
                 EXPECT_EQ(grp.nodes.size(), 1u);
+            }
         }
     }
 }

@@ -1,12 +1,20 @@
 /** Direct kernel tests: data-movement ops against naive references,
- *  parameterized over shapes (property-style sweeps), and the
- *  dispatched conv / GEMM / block-epilogue paths against the scalar
- *  reference kernels, compared bit for bit. */
+ *  parameterized over shapes (property-style sweeps), the dispatched
+ *  conv / GEMM / block-epilogue paths against the scalar reference
+ *  kernels, compared bit for bit, the layout ops against the
+ *  per-element strided-copy reference, byte for byte, and the thread
+ *  pool's chunking. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <mutex>
+#include <numeric>
+#include <thread>
+#include <utility>
 
 #include "kernels/conv.h"
 #include "kernels/data_movement.h"
@@ -17,6 +25,7 @@
 #include "kernels/reduce.h"
 #include "support/logging.h"
 #include "support/rng.h"
+#include "support/threadpool.h"
 #include "tensor/broadcast.h"
 
 namespace sod2 {
@@ -691,6 +700,448 @@ TEST(FusedBlockBitIdentity, ElementwiseKernelsMatchOpTable)
     for (int64_t i = 0; i < a.numElements(); ++i)
         ASSERT_EQ(less.data<bool>()[i],
                   a.data<float>()[i] < row.data<float>()[i % 200]);
+}
+
+// ---- Layout ops against the strided-copy reference -----------------
+//
+// transpose, slice, concat, split, expandTo, tile and resizeNearest run
+// stridedCopy; each must write exactly the bytes stridedCopyReference
+// (the per-element divide/modulo loop) writes for the op's box, and
+// leave every other byte of the output buffer alone. Element sizes 1,
+// 4 and 8 bytes are the bool, f32 and i64 dtypes.
+
+const DType kCopyDtypes[] = {DType::kBool, DType::kFloat32, DType::kInt64};
+
+/** Bytes that no copy writes, so a stray or missing write shows. */
+constexpr uint8_t kSentinel = 0xA5;
+
+/** A tensor of seeded random bytes (0/1 for bool). */
+Tensor
+randomTensor(DType dtype, const std::vector<int64_t>& dims, uint64_t seed)
+{
+    Tensor t(dtype, Shape(dims));
+    Rng rng(seed);
+    auto* p = static_cast<uint8_t*>(t.raw());
+    for (size_t i = 0; i < t.byteSize(); ++i)
+        p[i] = static_cast<uint8_t>(
+            rng.uniformInt(0, dtype == DType::kBool ? 1 : 255));
+    return t;
+}
+
+/** An output-sized tensor filled with kSentinel. */
+Tensor
+sentinelTensor(DType dtype, const std::vector<int64_t>& dims)
+{
+    Tensor t(dtype, Shape(dims));
+    if (t.byteSize() > 0)
+        std::memset(t.raw(), kSentinel, t.byteSize());
+    return t;
+}
+
+void
+expectSameBytes(const Tensor& got, const Tensor& want,
+                const std::string& what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    if (got.byteSize() == 0)
+        return;
+    EXPECT_EQ(std::memcmp(got.raw(), want.raw(), got.byteSize()), 0)
+        << what;
+}
+
+std::string
+describe(DType dtype, const std::vector<int64_t>& dims,
+         const std::vector<int64_t>& arg = {})
+{
+    return std::string(dtypeName(dtype)) + Shape(dims).toString() +
+           Shape(arg).toString();
+}
+
+TEST(StridedCopy, MatchesReferenceOnRandomBoxes)
+{
+    // Random boxes of rank 0-6 with extents 0, 1 and primes. The
+    // destination is a permuted layout with padding; each source dim is
+    // broadcast (stride 0), reversed (negative stride) or a permuted
+    // padded layout. Element sizes 1, 4 and 8 cover every typed path,
+    // 2 and 3 the reference fallback.
+    const int64_t extents[] = {0, 1, 1, 2, 3, 5, 7, 13};
+    const size_t sizes[] = {1, 2, 3, 4, 8};
+    Rng rng(24);
+    for (int trial = 0; trial < 400; ++trial) {
+        int rank = static_cast<int>(rng.uniformInt(0, 6));
+        std::vector<int64_t> dims(rank);
+        for (int64_t& n : dims)
+            n = extents[rng.uniformInt(trial < 40 ? 0 : 1, 7)];
+        size_t esz = sizes[rng.uniformInt(0, 4)];
+
+        // Strides of a padded layout of dims in a random order.
+        auto layout = [&](std::vector<int64_t>* strides) {
+            std::vector<int> order(rank);
+            std::iota(order.begin(), order.end(), 0);
+            for (int i = rank - 1; i > 0; --i)
+                std::swap(order[i], order[rng.uniformInt(0, i)]);
+            int64_t span = 1;
+            strides->assign(rank, 0);
+            for (int i = rank - 1; i >= 0; --i) {
+                (*strides)[order[i]] = span;
+                span *= dims[order[i]] + rng.uniformInt(0, 1);
+            }
+            return span;
+        };
+        std::vector<int64_t> dst_strides, src_strides;
+        int64_t dst_span = layout(&dst_strides);
+        int64_t src_span = layout(&src_strides);
+        int64_t src_base = 0;
+        for (int d = 0; d < rank; ++d) {
+            int64_t kind = rng.uniformInt(0, 5);
+            if (kind == 0) {
+                src_strides[d] = 0;
+            } else if (kind == 1 && dims[d] > 0) {
+                src_base += (dims[d] - 1) * src_strides[d];
+                src_strides[d] = -src_strides[d];
+            }
+        }
+
+        std::vector<uint8_t> src(src_span * esz);
+        for (uint8_t& b : src)
+            b = static_cast<uint8_t>(rng.uniformInt(0, 255));
+        std::vector<uint8_t> got(dst_span * esz, kSentinel);
+        std::vector<uint8_t> want(got);
+        const uint8_t* from = src.data() + src_base * esz;
+        stridedCopy(got.data(), dst_strides, from, src_strides, dims, esz);
+        stridedCopyReference(want.data(), dst_strides, from, src_strides,
+                             dims, esz);
+        EXPECT_TRUE(got == want)
+            << "trial " << trial << ": dims " << Shape(dims).toString()
+            << " dst " << Shape(dst_strides).toString() << " src "
+            << Shape(src_strides).toString() << " esz " << esz;
+    }
+}
+
+TEST(StridedCopy, RowsOverSplitThresholdMatchReference)
+{
+    // Copies of 256 KiB and more are split by rows across the pool: a
+    // transpose with prime extents (284 KiB to 2.2 MiB by dtype), rows of
+    // 130 KiB (longer than one split chunk), and a broadcast fill.
+    for (DType dtype : kCopyDtypes) {
+        size_t esz = dtypeSize(dtype);
+        std::vector<int64_t> dims = {3, 331, 293};
+        Tensor in = randomTensor(dtype, dims, 7);
+        std::vector<int64_t> perm = {2, 0, 1};
+        std::vector<int64_t> odims = {293, 3, 331};
+        Tensor got = sentinelTensor(dtype, odims);
+        Tensor want = sentinelTensor(dtype, odims);
+        transpose(in, perm, &got);
+        auto is = Shape(dims).strides();
+        stridedCopyReference(want.raw(), Shape(odims).strides(), in.raw(),
+                             {is[2], is[0], is[1]}, odims, esz);
+        expectSameBytes(got, want, describe(dtype, dims, perm));
+
+        int64_t row = (130 << 10) / static_cast<int64_t>(esz);
+        std::vector<int64_t> rows = {5, row};
+        Tensor a = randomTensor(dtype, rows, 8);
+        Tensor b = randomTensor(dtype, {5, 3}, 9);
+        std::vector<int64_t> joined = {5, row + 3};
+        Tensor got_cat = sentinelTensor(dtype, joined);
+        Tensor want_cat = sentinelTensor(dtype, joined);
+        concat({a, b}, 1, &got_cat);
+        auto js = Shape(joined).strides();
+        stridedCopyReference(want_cat.raw(), js, a.raw(),
+                             Shape(rows).strides(), rows, esz);
+        stridedCopyReference(
+            static_cast<uint8_t*>(want_cat.raw()) + row * esz, js, b.raw(),
+            {3, 1}, {5, 3}, esz);
+        expectSameBytes(got_cat, want_cat, describe(dtype, rows));
+
+        Tensor col = randomTensor(dtype, {row, 1}, 10);
+        std::vector<int64_t> wide = {row, 4};
+        Tensor got_b = sentinelTensor(dtype, wide);
+        Tensor want_b = sentinelTensor(dtype, wide);
+        expandTo(col, &got_b);
+        stridedCopyReference(want_b.raw(), Shape(wide).strides(), col.raw(),
+                             {1, 0}, wide, esz);
+        expectSameBytes(got_b, want_b, describe(dtype, wide));
+    }
+}
+
+/** transpose(@p dims, @p perm) against the reference, every dtype. */
+void
+expectTransposeMatches(const std::vector<int64_t>& dims,
+                       const std::vector<int64_t>& perm, uint64_t seed)
+{
+    auto is = Shape(dims).strides();
+    std::vector<int64_t> odims, src_strides;
+    for (int64_t p : perm) {
+        odims.push_back(dims[p]);
+        src_strides.push_back(is[p]);
+    }
+    for (DType dtype : kCopyDtypes) {
+        Tensor in = randomTensor(dtype, dims, seed);
+        Tensor got = sentinelTensor(dtype, odims);
+        Tensor want = sentinelTensor(dtype, odims);
+        transpose(in, perm, &got);
+        stridedCopyReference(want.raw(), Shape(odims).strides(), in.raw(),
+                             src_strides, odims, dtypeSize(dtype));
+        expectSameBytes(got, want, describe(dtype, dims, perm));
+    }
+}
+
+TEST(LayoutOps, TransposeEveryPermutationUpToRank4)
+{
+    const std::vector<std::vector<int64_t>> shapes = {
+        {}, {7}, {0}, {3, 5}, {1, 13}, {2, 3, 5}, {4, 1, 3}, {0, 2, 3},
+        {2, 3, 5, 7}, {1, 4, 1, 6}, {3, 2, 0, 5}};
+    uint64_t seed = 0;
+    for (const auto& dims : shapes) {
+        std::vector<int64_t> perm(dims.size());
+        std::iota(perm.begin(), perm.end(), 0);
+        do {
+            expectTransposeMatches(dims, perm, ++seed);
+        } while (std::next_permutation(perm.begin(), perm.end()));
+    }
+}
+
+TEST(LayoutOps, TransposeRanks5And6)
+{
+    Rng rng(5);
+    for (int trial = 0; trial < 24; ++trial) {
+        int rank = 5 + trial % 2;
+        std::vector<int64_t> dims(rank), perm(rank);
+        for (int d = 0; d < rank; ++d) {
+            dims[d] = rng.uniformInt(1, 5);
+            perm[d] = d;
+        }
+        for (int i = rank - 1; i > 0; --i)
+            std::swap(perm[i], perm[rng.uniformInt(0, i)]);
+        expectTransposeMatches(dims, perm, 100 + trial);
+    }
+}
+
+TEST(LayoutOps, SliceStepsAndNegativeStarts)
+{
+    const std::vector<int64_t> dims = {7, 11, 5};
+    auto is = Shape(dims).strides();
+    uint64_t seed = 0;
+    for (int64_t start : {-3, -1, 0, 1, 2}) {
+        for (int64_t step = 1; step <= 3; ++step) {
+            for (int axis = 0; axis < 3; ++axis) {
+                int64_t first = start < 0 ? start + dims[axis] : start;
+                std::vector<int64_t> odims = dims;
+                odims[axis] = (dims[axis] - first + step - 1) / step;
+                std::vector<int64_t> src_strides = is;
+                src_strides[axis] *= step;
+                for (DType dtype : kCopyDtypes) {
+                    size_t esz = dtypeSize(dtype);
+                    Tensor in = randomTensor(dtype, dims, ++seed);
+                    Tensor got = sentinelTensor(dtype, odims);
+                    Tensor want = sentinelTensor(dtype, odims);
+                    slice(in, {start}, {dims[axis]}, {axis}, {step}, &got);
+                    stridedCopyReference(
+                        want.raw(), Shape(odims).strides(),
+                        static_cast<const uint8_t*>(in.raw()) +
+                            first * is[axis] * esz,
+                        src_strides, odims, esz);
+                    expectSameBytes(got, want,
+                                    describe(dtype, dims,
+                                             {start, step, axis}));
+                }
+            }
+        }
+    }
+}
+
+TEST(LayoutOps, ConcatAndSplitEveryAxis)
+{
+    const std::vector<int64_t> dims = {4, 5, 6};
+    for (int axis = 0; axis < 3; ++axis) {
+        // Parts of extents 1, 0 and the rest along the axis.
+        std::vector<std::vector<int64_t>> parts(3, dims);
+        parts[0][axis] = 1;
+        parts[1][axis] = 0;
+        parts[2][axis] = dims[axis] - 1;
+        for (DType dtype : kCopyDtypes) {
+            size_t esz = dtypeSize(dtype);
+            auto os = Shape(dims).strides();
+            std::vector<Tensor> ins;
+            Tensor want = sentinelTensor(dtype, dims);
+            int64_t offset = 0;
+            for (size_t i = 0; i < parts.size(); ++i) {
+                ins.push_back(randomTensor(dtype, parts[i], 30 + i));
+                stridedCopyReference(
+                    static_cast<uint8_t*>(want.raw()) +
+                        offset * os[axis] * esz,
+                    os, ins.back().raw(), Shape(parts[i]).strides(),
+                    parts[i], esz);
+                offset += parts[i][axis];
+            }
+            Tensor got = sentinelTensor(dtype, dims);
+            concat(ins, axis, &got);
+            expectSameBytes(got, want, describe(dtype, dims, {axis}));
+
+            std::vector<Tensor> outs;
+            for (const auto& p : parts)
+                outs.push_back(sentinelTensor(dtype, p));
+            split(want, axis, &outs);
+            for (size_t i = 0; i < parts.size(); ++i)
+                expectSameBytes(outs[i], ins[i],
+                                describe(dtype, parts[i], {axis}));
+        }
+    }
+}
+
+TEST(LayoutOps, ExpandBroadcasts)
+{
+    const std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>>
+        cases = {{{}, {2, 3}},          {{1}, {7}},
+                 {{3, 1, 5}, {2, 3, 4, 5}}, {{5, 1}, {5, 13}},
+                 {{1, 6}, {11, 6}},     {{1, 1}, {1, 1}},
+                 {{2, 1}, {2, 0}},      {{1, 3, 1}, {4, 3, 2}}};
+    uint64_t seed = 50;
+    for (const auto& [in_dims, out_dims] : cases) {
+        auto is = Shape(in_dims).strides();
+        std::vector<int64_t> src_strides(out_dims.size(), 0);
+        size_t lead = out_dims.size() - in_dims.size();
+        for (size_t i = 0; i < in_dims.size(); ++i)
+            if (in_dims[i] != 1)
+                src_strides[lead + i] = is[i];
+        for (DType dtype : kCopyDtypes) {
+            Tensor in = randomTensor(dtype, in_dims, ++seed);
+            Tensor got = sentinelTensor(dtype, out_dims);
+            Tensor want = sentinelTensor(dtype, out_dims);
+            expandTo(in, &got);
+            stridedCopyReference(want.raw(), Shape(out_dims).strides(),
+                                 in.raw(), src_strides, out_dims,
+                                 dtypeSize(dtype));
+            expectSameBytes(got, want, describe(dtype, in_dims, out_dims));
+        }
+    }
+}
+
+TEST(LayoutOps, TileRepeats)
+{
+    // The last case keeps 10 dims after canonicalisation, more than
+    // stridedCopy walks on the stack, so it takes the reference path.
+    const std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>>
+        cases = {{{2, 3}, {1, 1}},       {{2, 3}, {2, 3}},
+                 {{2, 3}, {3, 1}},       {{1, 5, 1}, {4, 1, 3}},
+                 {{7}, {0}},             {{3, 2, 5}, {2, 2, 2}},
+                 {{2, 3, 2, 3, 2}, {2, 2, 2, 2, 2}}};
+    uint64_t seed = 70;
+    for (const auto& [in_dims, reps] : cases) {
+        // Reference: index the output as [rep_0, n_0, rep_1, n_1, ...].
+        auto is = Shape(in_dims).strides();
+        std::vector<int64_t> out_dims, box, dst_strides, src_strides;
+        for (size_t d = 0; d < in_dims.size(); ++d)
+            out_dims.push_back(in_dims[d] * reps[d]);
+        auto os = Shape(out_dims).strides();
+        for (size_t d = 0; d < in_dims.size(); ++d) {
+            box.insert(box.end(), {reps[d], in_dims[d]});
+            dst_strides.insert(dst_strides.end(),
+                               {in_dims[d] * os[d], os[d]});
+            src_strides.insert(src_strides.end(), {0, is[d]});
+        }
+        for (DType dtype : kCopyDtypes) {
+            Tensor in = randomTensor(dtype, in_dims, ++seed);
+            Tensor got = sentinelTensor(dtype, out_dims);
+            Tensor want = sentinelTensor(dtype, out_dims);
+            tile(in, reps, &got);
+            stridedCopyReference(want.raw(), dst_strides, in.raw(),
+                                 src_strides, box, dtypeSize(dtype));
+            expectSameBytes(got, want, describe(dtype, in_dims, reps));
+        }
+    }
+}
+
+TEST(LayoutOps, ResizeScales1To4)
+{
+    const std::vector<int64_t> dims = {2, 3, 5, 7};
+    uint64_t seed = 90;
+    for (int64_t sh = 1; sh <= 4; ++sh) {
+        for (int64_t sw = 1; sw <= 4; ++sw) {
+            std::vector<int64_t> out_dims = {2, 3, 5 * sh, 7 * sw};
+            for (DType dtype : kCopyDtypes) {
+                Tensor in = randomTensor(dtype, dims, ++seed);
+                Tensor got = sentinelTensor(dtype, out_dims);
+                Tensor want = sentinelTensor(dtype, out_dims);
+                resizeNearest(in, sh, sw, &got);
+                // Output row y reads input row y / sh, column x column
+                // x / sw: index the output as [n*c, h, sh, w, sw].
+                std::vector<int64_t> box = {6, 5, sh, 7, sw};
+                stridedCopyReference(want.raw(), Shape(box).strides(),
+                                     in.raw(), {35, 7, 0, 1, 0}, box,
+                                     dtypeSize(dtype));
+                expectSameBytes(got, want,
+                                describe(dtype, dims, {sh, sw}));
+            }
+        }
+    }
+}
+
+// ---- Thread pool chunking -------------------------------------------
+
+TEST(ThreadPoolChunks, EveryIndexOnceAndNoEmptyOrInvertedChunk)
+{
+    for (int threads = 1; threads <= 8; ++threads) {
+        ThreadPool pool(threads);
+        ASSERT_EQ(pool.numThreads(), threads);
+        for (int64_t total = 1; total <= 64; ++total) {
+            for (int64_t grain = 1; grain <= 8; ++grain) {
+                std::vector<std::atomic<int>> hits(total);
+                std::atomic<int> bad{0};
+                pool.parallelFor(
+                    total,
+                    [&](int64_t begin, int64_t end) {
+                        if (begin < 0 || end > total || begin >= end) {
+                            bad.fetch_add(1);
+                            return;
+                        }
+                        for (int64_t i = begin; i < end; ++i)
+                            hits[i].fetch_add(1);
+                    },
+                    grain);
+                ASSERT_EQ(bad.load(), 0) << threads << " threads, total "
+                                         << total << ", grain " << grain;
+                for (int64_t i = 0; i < total; ++i)
+                    ASSERT_EQ(hits[i].load(), 1)
+                        << threads << " threads, total " << total
+                        << ", grain " << grain << ", index " << i;
+            }
+        }
+    }
+}
+
+TEST(ThreadPoolChunks, FiveOverFourThreadsRunsThreeChunks)
+{
+    // ceil(5 / 4) = 2 per chunk, so only three chunks cover the range.
+    ThreadPool pool(4);
+    std::mutex mu;
+    std::vector<std::pair<int64_t, int64_t>> ranges;
+    pool.parallelFor(5, [&](int64_t begin, int64_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(begin, end);
+    });
+    std::sort(ranges.begin(), ranges.end());
+    std::vector<std::pair<int64_t, int64_t>> want = {{0, 2}, {2, 4}, {4, 5}};
+    EXPECT_EQ(ranges, want);
+}
+
+TEST(ThreadPoolChunks, OneThreadRunsInline)
+{
+    ThreadPool pool(1);
+    EXPECT_EQ(pool.numThreads(), 1);
+    int calls = 0;
+    std::thread::id ran_on;
+    pool.parallelFor(
+        1000,
+        [&](int64_t begin, int64_t end) {
+            ++calls;
+            ran_on = std::this_thread::get_id();
+            EXPECT_EQ(begin, 0);
+            EXPECT_EQ(end, 1000);
+        },
+        1);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 }  // namespace

@@ -293,8 +293,9 @@ TEST(MetricsTest, SnapshotIsInternallyConsistentUnderWriters)
         double p99 = s.percentile(99.0);
         ASSERT_LE(p50, p95);
         ASSERT_LE(p95, p99);
-        if (s.count > 0)
+        if (s.count > 0) {
             ASSERT_GE(s.mean(), 0.0);
+        }
     }
     stop.store(true);
     for (auto& w : writers)

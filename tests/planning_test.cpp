@@ -37,9 +37,10 @@ expectTopological(const Graph& g, const FusionPlan& fusion,
         for (NodeId n : fusion.groups[gi].nodes) {
             for (ValueId in : g.node(n).inputs) {
                 int pg = group_of_value[in];
-                if (pg >= 0 && pg != gi)
+                if (pg >= 0 && pg != gi) {
                     EXPECT_LT(pos[pg], pos[gi])
                         << "dependency violated";
+                }
             }
         }
     }

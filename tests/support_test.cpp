@@ -107,6 +107,30 @@ TEST(Env, CachedAccessorsAreOncePerProcess)
     EXPECT_EQ(env::numThreads(), 3);
 }
 
+TEST(Env, ReadNonNegativeInt64AcceptsZero)
+{
+    setenv("SOD2_TEST_INT", "0", 1);
+    EXPECT_EQ(env::readNonNegativeInt64("SOD2_TEST_INT", 100), 0);
+    setenv("SOD2_TEST_INT", "250", 1);
+    EXPECT_EQ(env::readNonNegativeInt64("SOD2_TEST_INT", 100), 250);
+    for (const char* bad : {"-1", "-250", "off", "5ms", ""}) {
+        setenv("SOD2_TEST_INT", bad, 1);
+        EXPECT_EQ(env::readNonNegativeInt64("SOD2_TEST_INT", 100), 100)
+            << "\"" << bad << "\"";
+    }
+    unsetenv("SOD2_TEST_INT");
+    EXPECT_EQ(env::readNonNegativeInt64("SOD2_TEST_INT", 100), 100);
+}
+
+TEST(Env, WatchdogMillisZeroTurnsTheWatchdogOff)
+{
+    // First query in this process (each gtest case runs in its own
+    // process under ctest), so the cached value is this one.
+    setenv("SOD2_WATCHDOG_MS", "0", 1);
+    EXPECT_EQ(env::watchdogMillis(), 0);
+    unsetenv("SOD2_WATCHDOG_MS");
+}
+
 TEST(Logging, CheckThrowsWithContext)
 {
     EXPECT_THROW(
