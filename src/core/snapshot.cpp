@@ -8,7 +8,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <tuple>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -254,10 +257,23 @@ class Toks
     size_t pos_ = 0;
 };
 
+/** Expression nodes already built while parsing one snapshot. Most
+ *  `shape` lines repeat the same subtrees, and rebuilding each through
+ *  the canonicalizing factories was most of a load. Children are
+ *  memoized before their parent, so a node is keyed on its children's
+ *  pointers, which the memo keeps alive. */
+struct ExprMemo
+{
+    std::unordered_map<int64_t, SymExprPtr> constants;
+    std::unordered_map<std::string, SymExprPtr> symbols;
+    std::map<std::tuple<SymOp, const SymExpr*, const SymExpr*>, SymExprPtr>
+        nodes;
+};
+
 /** Parses one prefix expression whose FIRST token is @p tok; operand
  *  tokens are consumed from @p t. */
 SymExprPtr
-parseExprTok(const std::string& tok, Toks& t)
+parseExprTok(const std::string& tok, Toks& t, ExprMemo& memo)
 {
     SymOp op;
     if (tok == "+")
@@ -279,18 +295,27 @@ parseExprTok(const std::string& tok, Toks& t)
     else if (tok[0] == '$') {
         if (tok.size() < 2)
             corrupt("empty symbol name");
-        return SymExpr::symbol(tok.substr(1));
+        auto [it, fresh] = memo.symbols.try_emplace(tok.substr(1));
+        if (fresh)
+            it->second = SymExpr::symbol(it->first);
+        return it->second;
     } else {
         errno = 0;
         char* end = nullptr;
         long long v = std::strtoll(tok.c_str(), &end, 10);
         if (end == tok.c_str() || *end != '\0' || errno == ERANGE)
             corrupt("bad expression token '" + tok + "'");
-        return SymExpr::constant(v);
+        auto [it, fresh] = memo.constants.try_emplace(v);
+        if (fresh)
+            it->second = SymExpr::constant(v);
+        return it->second;
     }
-    SymExprPtr lhs = parseExprTok(t.next(), t);
-    SymExprPtr rhs = parseExprTok(t.next(), t);
-    return SymExpr::binary(op, std::move(lhs), std::move(rhs));
+    SymExprPtr lhs = parseExprTok(t.next(), t, memo);
+    SymExprPtr rhs = parseExprTok(t.next(), t, memo);
+    auto [it, fresh] = memo.nodes.try_emplace({op, lhs.get(), rhs.get()});
+    if (fresh)
+        it->second = SymExpr::binary(op, std::move(lhs), std::move(rhs));
+    return it->second;
 }
 
 // DimValue cells: "?" undef, "!" nac, else one prefix expression.
@@ -306,14 +331,14 @@ writeCell(std::ostream& os, const DimValue& d)
 }
 
 DimValue
-parseCell(Toks& t)
+parseCell(Toks& t, ExprMemo& memo)
 {
     std::string tok = t.next();
     if (tok == "?")
         return DimValue::undef();
     if (tok == "!")
         return DimValue::nac();
-    return DimValue::of(parseExprTok(tok, t));
+    return DimValue::of(parseExprTok(tok, t, memo));
 }
 
 // ---------------------------------------------------------------------
@@ -658,6 +683,7 @@ parseBody(std::istream& in, const Graph& graph)
 
     // RDP section.
     {
+        ExprMemo memo;
         Toks t = nextLine();
         t.expect("rdp");
         int iterations = static_cast<int>(t.nextInt());
@@ -682,7 +708,7 @@ parseBody(std::istream& in, const Graph& graph)
                 std::vector<DimValue> dims;
                 dims.reserve(rank);
                 for (int64_t d = 0; d < rank; ++d)
-                    dims.push_back(parseCell(st));
+                    dims.push_back(parseCell(st, memo));
                 shapes.push_back(ShapeInfo::ranked(std::move(dims)));
             } else {
                 corrupt("unknown shape kind '" + kind + "'");
@@ -705,7 +731,7 @@ parseBody(std::istream& in, const Graph& graph)
                 std::vector<DimValue> elems;
                 elems.reserve(n);
                 for (int64_t e = 0; e < n; ++e)
-                    elems.push_back(parseCell(vt));
+                    elems.push_back(parseCell(vt, memo));
                 values.push_back(ValueInfo::elems(std::move(elems)));
             } else {
                 corrupt("unknown value kind '" + kind + "'");

@@ -2,10 +2,55 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "support/env.h"
 #include "support/logging.h"
 
 namespace sod2 {
+
+namespace {
+
+/** Pauses between two reads of the clock while spinning: a few µs. */
+constexpr int kPausesPerClockCheck = 64;
+/** Clock checks between two yields of the CPU: tens of µs. */
+constexpr int kClockChecksPerYield = 8;
+
+/**
+ * Spins until @p ready() holds or ThreadPool::kSpinWindow has passed.
+ *
+ * The spin yields the CPU every few tens of µs. Where cpusets do not
+ * load-balance (as on the 4-core VM the repo is measured on), the
+ * kernel may leave every pool thread on one CPU, and a pure spin there
+ * starves the thread running the chunks. Measured with perfbench's
+ * serve_codebert pinned to one CPU: p50 3.2 ms with a blocking pool,
+ * 8.8 ms spinning without yields, 2.9 ms with them (DESIGN.md §8).
+ * @return whether ready() held.
+ */
+template <class Ready>
+bool
+spinUntil(Ready ready)
+{
+    auto deadline =
+        std::chrono::steady_clock::now() + ThreadPool::kSpinWindow;
+    for (int checks = 1;; ++checks) {
+        for (int i = 0; i < kPausesPerClockCheck; ++i) {
+            if (ready())
+                return true;
+#if defined(__x86_64__)
+            _mm_pause();
+#endif
+        }
+        if (std::chrono::steady_clock::now() >= deadline)
+            return ready();
+        if (checks % kClockChecksPerYield == 0)
+            std::this_thread::yield();
+    }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
 {
@@ -25,8 +70,9 @@ ThreadPool::ThreadPool(int num_threads)
 ThreadPool::~ThreadPool()
 {
     {
+        // Under mu_, so a worker about to park sees it in its predicate.
         std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
+        stop_.store(true, std::memory_order_release);
     }
     cv_.notify_all();
     for (auto& t : workers_)
@@ -66,25 +112,33 @@ ThreadPool::runChunks(ParallelState& st)
 void
 ThreadPool::workerLoop()
 {
+    uint64_t seen = 0;  // generation of the last call this worker took
+    auto called = [&] {
+        return stop_.load(std::memory_order_acquire) ||
+               generation_.load(std::memory_order_acquire) != seen;
+    };
     for (;;) {
+        // Spin for the next call, then park. The predicate is re-read
+        // under mu_, where parallelFor bumps the generation and counts
+        // parked workers, so a call between the spin and the wait is
+        // either seen here or notified.
+        if (!spinUntil(called)) {
+            std::unique_lock<std::mutex> lock(mu_);
+            ++parked_;
+            cv_.wait(lock, called);
+            --parked_;
+        }
+        if (stop_.load(std::memory_order_acquire))
+            return;
         std::shared_ptr<ParallelState> st;
         {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock,
-                     [this] { return stop_ || parallel_ != nullptr; });
-            if (stop_)
-                return;
+            std::lock_guard<std::mutex> lock(mu_);
+            seen = generation_.load(std::memory_order_relaxed);
             st = parallel_;
-            if (st->next.load(std::memory_order_relaxed) >= st->chunks) {
-                // Exhausted: retire it so idle workers stop waking.
-                parallel_.reset();
-                continue;
-            }
         }
-        runChunks(*st);
-        std::lock_guard<std::mutex> lock(mu_);
-        if (parallel_ == st)
-            parallel_.reset();
+        // Null or exhausted when the caller finished without us.
+        if (st)
+            runChunks(*st);
     }
 }
 
@@ -117,20 +171,25 @@ ThreadPool::parallelFor(int64_t total,
     st->total = total;
     st->chunks = chunks;
     st->per = per;
+    bool wake = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
         parallel_ = st;
+        generation_.fetch_add(1, std::memory_order_release);
+        wake = parked_ > 0;
     }
-    cv_.notify_all();
+    if (wake)
+        cv_.notify_all();
 
     // The calling thread claims chunks like any worker.
     runChunks(*st);
 
-    {
+    auto finished = [&] {
+        return st->done.load(std::memory_order_acquire) == st->chunks;
+    };
+    if (!spinUntil(finished)) {
         std::unique_lock<std::mutex> lock(st->mu);
-        st->cv.wait(lock, [&] {
-            return st->done.load(std::memory_order_acquire) == st->chunks;
-        });
+        st->cv.wait(lock, finished);
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (parallel_ == st)

@@ -3,7 +3,7 @@
 
 /**
  * @file
- * A small work-stealing-free thread pool with a blocking parallelFor.
+ * A small fork/join thread pool whose workers stay warm between calls.
  *
  * Kernels use ThreadPool::global() to parallelize over the outermost
  * loop dimension; the pool size stands in for the "8 threads on mobile
@@ -13,10 +13,16 @@
  * atomic chunk counter — workers claim chunk indices instead of popping
  * one heap-allocated closure per chunk, so a call costs a single
  * allocation regardless of chunk count, and small ranges
- * (total <= grain_size) bypass the pool entirely.
+ * (total <= grain_size) bypass the pool entirely. The call publishes
+ * that state by bumping a generation counter. A worker spins on the
+ * counter for kSpinWindow after its last chunk before it parks on a
+ * condition variable, and the caller spins on its chunks' completion
+ * for the same window before it blocks, so back-to-back calls (one per
+ * fused group) pay no wake-up (DESIGN.md §8).
  */
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -45,6 +51,18 @@ class ThreadPool
     /** The process-wide pool used by kernels. */
     static ThreadPool& global();
 
+    /**
+     * How long an idle worker spins for the next call, and a caller for
+     * its workers' chunks, before parking on a condition variable. A
+     * parked worker takes tens of µs to reach a CPU on the 4-core VM
+     * the repo is measured on, longer than the median fused group runs
+     * (5–12 µs traced), so a window of many groups keeps a run's
+     * workers warm. After the last call each worker spends at most one
+     * window of CPU before it parks: an idle 4-thread pool costs about
+     * 0.7 ms of CPU once, not per second (DESIGN.md §8).
+     */
+    static constexpr std::chrono::microseconds kSpinWindow{200};
+
     /** Threads a parallelFor runs on: the workers plus the caller. */
     int numThreads() const { return static_cast<int>(workers_.size()) + 1; }
 
@@ -67,7 +85,8 @@ class ThreadPool
 
   private:
     /** Shared state of one in-flight parallelFor: workers claim chunk
-     *  indices from @ref next; the last finished chunk signals @ref cv. */
+     *  indices from @ref next; the last finished chunk signals @ref cv,
+     *  on which the caller blocks once its spin window has passed. */
     struct ParallelState
     {
         const std::function<void(int64_t, int64_t)>* fn = nullptr;
@@ -86,11 +105,17 @@ class ThreadPool
 
     std::vector<std::thread> workers_;
     /** The active parallelFor, if any (shared so late workers never
-     *  touch a state the caller has already abandoned). */
+     *  touch a state the caller has already abandoned). Guarded by mu_. */
     std::shared_ptr<ParallelState> parallel_;
+    /** Bumped under mu_ each time parallel_ is published; spinning
+     *  workers watch it without the lock. */
+    std::atomic<uint64_t> generation_{0};
+    /** Workers waiting on cv_; guarded by mu_. */
+    int parked_ = 0;
     std::mutex mu_;
     std::condition_variable cv_;
-    bool stop_ = false;
+    /** Set under mu_ by the destructor; spinning workers read it too. */
+    std::atomic<bool> stop_{false};
 };
 
 /**

@@ -3,18 +3,23 @@
  *  conv / GEMM / block-epilogue paths against the scalar reference
  *  kernels, compared bit for bit, the layout ops against the
  *  per-element strided-copy reference, byte for byte, and the thread
- *  pool's chunking. */
+ *  pool's chunking and spin-then-park protocol. */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "kernels/conv.h"
 #include "kernels/data_movement.h"
@@ -1079,33 +1084,44 @@ TEST(LayoutOps, ResizeScales1To4)
 
 // ---- Thread pool chunking -------------------------------------------
 
+/** Runs @p total iterations at @p grain on @p pool and returns "" when
+ *  every index ran exactly once in non-empty in-range chunks, else a
+ *  description of the first fault. */
+std::string
+coverOnce(ThreadPool& pool, int64_t total, int64_t grain)
+{
+    std::vector<std::atomic<int>> hits(total);
+    std::atomic<int> bad{0};
+    pool.parallelFor(
+        total,
+        [&](int64_t begin, int64_t end) {
+            if (begin < 0 || end > total || begin >= end) {
+                bad.fetch_add(1);
+                return;
+            }
+            for (int64_t i = begin; i < end; ++i)
+                hits[i].fetch_add(1);
+        },
+        grain);
+    if (bad.load() != 0)
+        return "bad chunk";
+    for (int64_t i = 0; i < total; ++i)
+        if (hits[i].load() != 1)
+            return "index " + std::to_string(i) + " ran " +
+                   std::to_string(hits[i].load()) + " times";
+    return "";
+}
+
 TEST(ThreadPoolChunks, EveryIndexOnceAndNoEmptyOrInvertedChunk)
 {
     for (int threads = 1; threads <= 8; ++threads) {
         ThreadPool pool(threads);
         ASSERT_EQ(pool.numThreads(), threads);
         for (int64_t total = 1; total <= 64; ++total) {
-            for (int64_t grain = 1; grain <= 8; ++grain) {
-                std::vector<std::atomic<int>> hits(total);
-                std::atomic<int> bad{0};
-                pool.parallelFor(
-                    total,
-                    [&](int64_t begin, int64_t end) {
-                        if (begin < 0 || end > total || begin >= end) {
-                            bad.fetch_add(1);
-                            return;
-                        }
-                        for (int64_t i = begin; i < end; ++i)
-                            hits[i].fetch_add(1);
-                    },
-                    grain);
-                ASSERT_EQ(bad.load(), 0) << threads << " threads, total "
-                                         << total << ", grain " << grain;
-                for (int64_t i = 0; i < total; ++i)
-                    ASSERT_EQ(hits[i].load(), 1)
-                        << threads << " threads, total " << total
-                        << ", grain " << grain << ", index " << i;
-            }
+            for (int64_t grain = 1; grain <= 8; ++grain)
+                ASSERT_EQ(coverOnce(pool, total, grain), "")
+                    << threads << " threads, total " << total << ", grain "
+                    << grain;
         }
     }
 }
@@ -1142,6 +1158,151 @@ TEST(ThreadPoolChunks, OneThreadRunsInline)
         1);
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+// ---- Thread pool spin-then-park protocol ------------------------------
+
+/** Long enough past the spin window that every worker has parked. */
+constexpr auto kPastSpinWindow = ThreadPool::kSpinWindow * 25;
+
+TEST(ThreadPoolWarm, ParkedWorkersRunEveryIndexOnce)
+{
+    for (int threads = 2; threads <= 8; ++threads) {
+        ThreadPool pool(threads);
+        for (int round = 0; round < 3; ++round) {
+            std::this_thread::sleep_for(kPastSpinWindow);
+            // The first call wakes parked workers; the second finds
+            // them spinning.
+            ASSERT_EQ(coverOnce(pool, 1000, 1), "")
+                << threads << " threads, round " << round << ", parked";
+            ASSERT_EQ(coverOnce(pool, 1000, 1), "")
+                << threads << " threads, round " << round << ", spinning";
+        }
+    }
+}
+
+TEST(ThreadPoolWarm, ParkedWorkersAreWoken)
+{
+    // The caller can run every chunk itself, so a lost wake-up shows
+    // only as lost parallelism: while the caller sleeps in one chunk, a
+    // woken worker must take another.
+    ThreadPool pool(4);
+    for (int round = 0; round < 3; ++round) {
+        std::this_thread::sleep_for(kPastSpinWindow);
+        std::mutex mu;
+        std::vector<std::thread::id> ran_on;
+        pool.parallelFor(
+            4,
+            [&](int64_t, int64_t) {
+                {
+                    std::lock_guard<std::mutex> lock(mu);
+                    ran_on.push_back(std::this_thread::get_id());
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            },
+            1);
+        std::sort(ran_on.begin(), ran_on.end());
+        ran_on.erase(std::unique(ran_on.begin(), ran_on.end()), ran_on.end());
+        EXPECT_GE(ran_on.size(), 2u) << "round " << round;
+    }
+}
+
+TEST(ThreadPoolWarm, ConcurrentCallersEachCoverTheirRange)
+{
+    ThreadPool pool(4);
+    std::vector<std::string> faults(4);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 4; ++c) {
+        callers.emplace_back([&pool, &faults, c] {
+            Rng rng(100 + c);
+            for (int call = 0; call < 500 && faults[c].empty(); ++call) {
+                int64_t total = rng.uniformInt(1, 3000);
+                int64_t grain = rng.uniformInt(1, 64);
+                std::string fault = coverOnce(pool, total, grain);
+                if (!fault.empty())
+                    faults[c] = "call " + std::to_string(call) + ", total " +
+                                std::to_string(total) + ", grain " +
+                                std::to_string(grain) + ": " + fault;
+            }
+        });
+    }
+    for (auto& t : callers)
+        t.join();
+    for (int c = 0; c < 4; ++c)
+        EXPECT_EQ(faults[c], "") << "caller " << c;
+}
+
+TEST(ThreadPoolWarm, CallFromInsideAChunkCompletes)
+{
+    ThreadPool pool(4);
+    std::atomic<int64_t> inner_iterations{0};
+    std::atomic<int> inner_faults{0};
+    pool.parallelFor(
+        8,
+        [&](int64_t begin, int64_t end) {
+            for (int64_t i = begin; i < end; ++i) {
+                if (!coverOnce(pool, 500, 8).empty())
+                    inner_faults.fetch_add(1);
+                inner_iterations.fetch_add(500);
+            }
+        },
+        1);
+    EXPECT_EQ(inner_faults.load(), 0);
+    EXPECT_EQ(inner_iterations.load(), 8 * 500);
+}
+
+/** Seconds to destroy @p pool. */
+double
+secondsToDestroy(std::unique_ptr<ThreadPool> pool)
+{
+    auto start = std::chrono::steady_clock::now();
+    pool.reset();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
+TEST(ThreadPoolWarm, DestroyReturnsPromptlyWhileWorkersSpin)
+{
+    // Fresh, and right after a call: either way the workers are inside
+    // their spin window. A stop the spin missed would hang the join.
+    auto fresh = std::make_unique<ThreadPool>(4);
+    EXPECT_LT(secondsToDestroy(std::move(fresh)), 1.0);
+    auto used = std::make_unique<ThreadPool>(4);
+    ASSERT_EQ(coverOnce(*used, 1000, 1), "");
+    EXPECT_LT(secondsToDestroy(std::move(used)), 1.0);
+}
+
+TEST(ThreadPoolWarm, DestroyReturnsPromptlyAfterWorkersPark)
+{
+    auto pool = std::make_unique<ThreadPool>(4);
+    ASSERT_EQ(coverOnce(*pool, 1000, 1), "");
+    std::this_thread::sleep_for(kPastSpinWindow);
+    EXPECT_LT(secondsToDestroy(std::move(pool)), 1.0);
+}
+
+/** User plus system CPU seconds of this process so far. */
+double
+processCpuSeconds()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    auto seconds = [](const timeval& tv) {
+        return static_cast<double>(tv.tv_sec) + 1e-6 * tv.tv_usec;
+    };
+    return seconds(ru.ru_utime) + seconds(ru.ru_stime);
+}
+
+TEST(ThreadPoolWarm, IdlePoolCostsUnderOnePercentOfACore)
+{
+    // After its workers' spin window an idle pool costs nothing: a
+    // 500 ms sleep adds under 5 ms of process CPU time.
+    ThreadPool pool(4);
+    ASSERT_EQ(coverOnce(pool, 1000, 1), "");
+    double before = processCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    double idle_cpu = processCpuSeconds() - before;
+    EXPECT_LT(idle_cpu, 0.005) << idle_cpu * 1e3 << " ms of CPU";
 }
 
 }  // namespace

@@ -190,6 +190,30 @@ TEST_P(ZooSnapshot, RoundtripIsBitExact)
               compiled.fusionPlan().groups.size());
     EXPECT_EQ(loaded->executionPlan().order, compiled.executionPlan().order);
     EXPECT_EQ(bytesOf(loaded->run(inputs)), want);
+
+    // Every value's RDP shape survives the text round trip, dim by dim.
+    for (ValueId v = 0; v < spec.graph->numValues(); ++v) {
+        const ShapeInfo& got = loaded->rdp().shapeOf(v);
+        const ShapeInfo& exp = compiled.rdp().shapeOf(v);
+        ASSERT_EQ(got.isUndef(), exp.isUndef()) << "value " << v;
+        ASSERT_EQ(got.isNac(), exp.isNac()) << "value " << v;
+        if (!exp.isRanked())
+            continue;
+        ASSERT_EQ(got.rank(), exp.rank()) << "value " << v;
+        for (int d = 0; d < exp.rank(); ++d) {
+            const DimValue& g = got.dims()[d];
+            const DimValue& e = exp.dims()[d];
+            ASSERT_EQ(g.hasExpr(), e.hasExpr())
+                << "value " << v << " dim " << d;
+            ASSERT_EQ(g.isNac(), e.isNac()) << "value " << v << " dim " << d;
+            if (e.hasExpr()) {
+                EXPECT_TRUE(symEqual(g.expr(), e.expr()))
+                    << "value " << v << " dim " << d << ": "
+                    << g.expr()->toString() << " vs "
+                    << e.expr()->toString();
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(ModelZoo, ZooSnapshot,
