@@ -3,7 +3,9 @@
  * Google-benchmark microbenchmarks for the analysis and kernel layers:
  * RDP fixpoint cost per model, symbolic expression arithmetic, GEMM
  * variants by shape class, fused-chain vs unfused elementwise
- * execution, and the memory planners.
+ * execution, the memory planners, and the vectorized Softmax rows against
+ * its scalar reference. Run with SOD2_NUM_THREADS=1 for single-thread
+ * kernel numbers.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +14,7 @@
 #include "fusion/fused_executor.h"
 #include "graph/builder.h"
 #include "kernels/gemm.h"
+#include "kernels/reduce.h"
 #include "memory/planners.h"
 #include "models/model_zoo.h"
 #include "runtime/interpreter.h"
@@ -148,6 +151,29 @@ BM_MemoryPlanners(benchmark::State& state)
                    std::to_string(intervals.size()) + " tensors");
 }
 BENCHMARK(BM_MemoryPlanners)->Arg(0)->Arg(1);
+
+/** Softmax over [1, 4, T, T] attention scores (CodeBERT's shape), the
+ *  dispatched kernel (Arg 1 = 1) or softmaxReference (0). */
+void
+BM_Softmax(benchmark::State& state)
+{
+    int64_t t = state.range(0);
+    bool vector = state.range(1) != 0;
+    Rng rng(5);
+    Tensor x =
+        Tensor::randomUniform(Shape({1, 4, t, t}), rng, -8.0f, 8.0f);
+    Tensor y(DType::kFloat32, x.shape());
+    for (auto _ : state) {
+        if (vector)
+            softmax(x, -1, &y);
+        else
+            softmaxReference(x, -1, &y);
+        benchmark::DoNotOptimize(y.raw());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * x.numElements());
+}
+BENCHMARK(BM_Softmax)->ArgsProduct({{64, 384}, {0, 1}});
 
 }  // namespace
 }  // namespace sod2

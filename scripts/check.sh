@@ -71,7 +71,8 @@ EOF
 declare -A gated=()
 bench_gate() {
     case "$1" in
-      concurrency|kernels) ;;
+      concurrency) ;;
+      kernels) ./build/bench/expf_exhaustive ;;
       observability) traced_serving ;;
       faults|resilience)
         # One soak covers both: its fault rounds gate typed errors and

@@ -96,6 +96,10 @@ CompiledGroup::compile(const Graph& graph, const FusionGroup& group)
         cg.program_.push_back(ins);
         reg_of[node.outputs[0]] = next_reg++;
     }
+    // A chain's program writes its output; evalFusedBlock requires one.
+    SOD2_CHECK(group.kind != GroupKind::kElementwiseChain ||
+               !cg.program_.empty())
+        << "elementwise chain group without nodes";
     for (const FusedInstr& ins : cg.program_) {
         auto note = [&](int src, bool scalar) {
             if (!scalar && src < 0)

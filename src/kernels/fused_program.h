@@ -9,7 +9,9 @@
  * programs). It is also the repository's one elementwise op table:
  * visitFusedOp names every op's scalar function once, and both the
  * per-element evaluator and the block evaluator call it, so the two
- * cannot disagree.
+ * cannot disagree. The one exception is the block evaluator's Exp,
+ * Sigmoid and Softplus, which run the vector expf (kernels/vector_exp.h)
+ * when it is enabled; it returns std::exp's bits.
  *
  * The block evaluator runs each instruction over a contiguous block of
  * elements (one conv output row, one GEMM row block, one elementwise
@@ -22,6 +24,8 @@
 #include <cmath>
 #include <cstdint>
 #include <vector>
+
+#include "kernels/vector_exp.h"
 
 namespace sod2 {
 
@@ -57,8 +61,10 @@ inline constexpr int64_t kFusedBlock = 128;
 
 /**
  * Calls @p visit with the scalar function float(float a, float b) of
- * @p ins's opcode (unary ops ignore b). The only place an op's
- * arithmetic is written down.
+ * @p ins's opcode (unary ops ignore b). The only place an op's scalar
+ * arithmetic is written down; the vector expf's block functions
+ * (kernels/vector_exp.h) repeat Exp, Sigmoid and Softplus lane by lane,
+ * and kernels_test holds them to these bit for bit.
  */
 template <typename Visit>
 inline void
@@ -153,12 +159,29 @@ applyFusedOpcode(const FusedInstr& ins, float a, float b)
 /**
  * One instruction over @p len elements: r[i] = op(a[i], b[i]). A
  * scalar operand (@p a_scalar / @p b_scalar) reads only its element 0.
- * @p r may alias @p a or @p b element for element.
+ * @p r may alias @p a or @p b element for element. Exp, Sigmoid and
+ * Softplus over a full operand run the vector expf when it is enabled.
  */
 inline void
 applyFusedOpcodeBlock(const FusedInstr& ins, const float* a, bool a_scalar,
                       const float* b, bool b_scalar, float* r, int64_t len)
 {
+    switch (ins.op) {
+      case FusedOpCode::kExp:
+        if (!a_scalar && vectorExpEnabled())
+            return expBlock(a, r, len);
+        break;
+      case FusedOpCode::kSigmoid:
+        if (!a_scalar && vectorExpEnabled())
+            return sigmoidBlock(a, r, len);
+        break;
+      case FusedOpCode::kSoftplus:
+        if (!a_scalar && vectorExpEnabled())
+            return softplusBlock(a, r, len);
+        break;
+      default:
+        break;
+    }
     visitFusedOp(ins, [&](auto fn) {
         if (!a_scalar && !b_scalar) {
             for (int64_t i = 0; i < len; ++i)
@@ -211,22 +234,18 @@ evalFusedProgram(const std::vector<FusedInstr>& program, float anchor,
 }
 
 /**
- * Evaluates the register program over elements [0, @p len) of one
- * block, @p len <= kFusedBlock. @p anchor holds the anchor register's
- * values (ignored when @p anchor_register < 0); external e's values
- * are externals[e][offset .. offset + len). Results go to @p dst,
- * which may alias @p anchor or an external element for element.
+ * Evaluates the non-empty register program over elements [0, @p len)
+ * of one block, @p len <= kFusedBlock. @p anchor holds the anchor
+ * register's values (ignored when @p anchor_register < 0); external e's
+ * values are externals[e][offset .. offset + len). The last
+ * instruction's results go to @p dst, which may alias @p anchor or an
+ * external element for element.
  */
 inline void
 evalFusedBlock(const std::vector<FusedInstr>& program, int anchor_register,
                const float* anchor, const float* const* externals,
                int64_t offset, int64_t len, float* dst)
 {
-    if (program.empty()) {
-        if (dst != anchor)
-            std::copy(anchor, anchor + len, dst);
-        return;
-    }
     float regs[kMaxFusedRegisters][kFusedBlock];
     const float* reg_ptr[kMaxFusedRegisters];
     if (anchor_register >= 0)

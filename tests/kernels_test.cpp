@@ -1,9 +1,11 @@
 /** Direct kernel tests: data-movement ops against naive references,
  *  parameterized over shapes (property-style sweeps), the dispatched
  *  conv / GEMM / block-epilogue paths against the scalar reference
- *  kernels, compared bit for bit, the layout ops against the
- *  per-element strided-copy reference, byte for byte, and the thread
- *  pool's chunking and spin-then-park protocol. */
+ *  kernels, compared bit for bit, the vector expf against std::exp and
+ *  the Softmax / LayerNorm / GlobalAveragePool row paths against their
+ *  references, bit for bit, the layout ops against the per-element
+ *  strided-copy reference, byte for byte, and the thread pool's
+ *  chunking and spin-then-park protocol. */
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -13,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -28,6 +31,7 @@
 #include "kernels/fused_program.h"
 #include "kernels/gemm.h"
 #include "kernels/reduce.h"
+#include "kernels/vector_exp.h"
 #include "support/logging.h"
 #include "support/rng.h"
 #include "support/threadpool.h"
@@ -424,6 +428,8 @@ epilogueCases()
           instr(FusedOpCode::kMul, 0, 1, true)}},
         {"LeakyRelu", {leaky}},
         {"Clip", {clip}},
+        {"Exp", {instr(FusedOpCode::kExp, 0)}},
+        {"Softplus", {instr(FusedOpCode::kSoftplus, 0)}},
         {"residual",
          {instr(FusedOpCode::kAdd, 0, ~0, true),
           instr(FusedOpCode::kRelu, 1), scaled}},
@@ -631,12 +637,23 @@ TEST(MatmulBitIdentity, BroadcastBatchesAndEpilogues)
 }
 
 /** The block evaluator against the per-element one, over lengths
- *  around kFusedBlock and a non-zero flat offset. */
+ *  around kFusedBlock and a non-zero flat offset. Anchors reach past
+ *  |x| = 88 and include infinities, so the exp-based epilogues (Exp,
+ *  Sigmoid, SiLU, Softplus) take the vector expf's std::exp lanes too.
+ *  NaN lanes are covered by the VectorExp tests: a NaN anchor makes
+ *  SiLU multiply two NaNs, whose result sign depends on operand order
+ *  in the Mul loop, not on the exp. */
 TEST(FusedBlockBitIdentity, MatchesPerElementEvaluation)
 {
     Rng rng(23);
     const int64_t total = 3 * kFusedBlock + 17;
-    Tensor anchor = Tensor::randomUniform(Shape({total}), rng, -4.0f, 4.0f);
+    Tensor anchor =
+        Tensor::randomUniform(Shape({total}), rng, -120.0f, 120.0f);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float edges[] = {88.0f, -88.0f, 0x1.62e430p6f, -0x1.9fe368p6f,
+                           inf, -inf, 0x1.5ffffep6f, -0x1.5ffffep6f, -0.0f};
+    for (size_t i = 0; i < std::size(edges); ++i)
+        anchor.data<float>()[9 + 13 * i] = edges[i];
     Tensor residual = Tensor::randomUniform(Shape({total}), rng);
     const float* externals[] = {residual.data<float>()};
     for (const EpilogueCase& ec : epilogueCases()) {
@@ -705,6 +722,249 @@ TEST(FusedBlockBitIdentity, ElementwiseKernelsMatchOpTable)
     for (int64_t i = 0; i < a.numElements(); ++i)
         ASSERT_EQ(less.data<bool>()[i],
                   a.data<float>()[i] < row.data<float>()[i % 200]);
+}
+
+// ---- Vector expf against std::exp -----------------------------------
+//
+// kernels/vector_exp.h replays glibc's expf 16 lanes at a time. On an
+// AVX-512F host every result must equal std::exp's bits; the block
+// functions are called directly, so the tests hold the vector path even
+// if its self-check had turned it off. bench/expf_exhaustive covers all
+// 2^32 patterns; this is the sampled tier-1 version.
+
+/** glibc's special-path edges and the values around them. */
+std::vector<float>
+expEdgeInputs()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    uint32_t nan_bits[] = {0x7fc00000u, 0xffc00000u, 0x7fa00001u,
+                           0x7fc12345u};
+    std::vector<float> x = {
+        0.0f, -0.0f, 0x1p-149f, -0x1p-149f, 0x1.fffffcp-127f,
+        -0x1.fffffcp-127f, 0x1p-126f, 88.0f, -88.0f, 0x1.5ffffep6f,
+        -0x1.5ffffep6f, 0x1.600002p6f, -0x1.600002p6f, 0x1.62e42ep6f,
+        0x1.62e430p6f, -0x1.9fe368p6f, -0x1.9fe366p6f, -0x1.9fe36ap6f,
+        -0x1.9d1d9ep6f, -0x1.9d1d9cp6f, -0x1.9d1da0p6f, inf, -inf,
+        // The two inputs that differ when the reduction is not fused.
+        0x1.04845ep+5f, -0x1.f8cbb2p+5f};
+    for (uint32_t bits : nan_bits) {
+        float f;
+        std::memcpy(&f, &bits, sizeof f);
+        x.push_back(f);
+    }
+    return x;
+}
+
+/** Every 4096th bit pattern (odd offset, so mantissas vary), then the
+ *  edges; the length is not a multiple of 16. */
+std::vector<float>
+expSweepInputs()
+{
+    std::vector<float> x;
+    for (uint64_t bits = 7; bits <= 0xFFFFFFFFu; bits += 4096) {
+        uint32_t b = static_cast<uint32_t>(bits);
+        float f;
+        std::memcpy(&f, &b, sizeof f);
+        x.push_back(f);
+    }
+    std::vector<float> edges = expEdgeInputs();
+    x.insert(x.end(), edges.begin(), edges.end());
+    return x;
+}
+
+/** Index of the first element of @p got that differs from
+ *  @p want(x[i]) in its bits, or -1. */
+template <typename Want>
+int64_t
+firstDifferenceFrom(const std::vector<float>& x, const std::vector<float>& got,
+                    Want want)
+{
+    for (size_t i = 0; i < x.size(); ++i) {
+        float w = want(x[i]);
+        if (std::memcmp(&w, &got[i], sizeof w) != 0)
+            return static_cast<int64_t>(i);
+    }
+    return -1;
+}
+
+TEST(VectorExp, SampledSweepMatchesStdExp)
+{
+    if (!hostHasAvx512f())
+        GTEST_SKIP() << "no AVX-512F: the scalar std::exp path is in use";
+    EXPECT_TRUE(vectorExpEnabled()) << "self-check rejected this libm";
+    std::vector<float> x = expSweepInputs();
+    int64_t n = static_cast<int64_t>(x.size());
+    std::vector<float> got(x.size());
+    expBlock(x.data(), got.data(), n);
+    int64_t bad = firstDifferenceFrom(x, got, [](float v) {
+        return std::exp(v);
+    });
+    EXPECT_EQ(bad, -1) << "x = " << (bad < 0 ? 0.0f : x[bad]);
+    // In place, starting mid-vector.
+    std::vector<float> inplace(x.begin() + 3, x.end());
+    expBlock(inplace.data(), inplace.data(), n - 3);
+    EXPECT_EQ(std::memcmp(inplace.data(), got.data() + 3, (n - 3) * 4), 0);
+}
+
+TEST(VectorExp, ExpBasedBlocksMatchOpTable)
+{
+    if (!hostHasAvx512f())
+        GTEST_SKIP() << "no AVX-512F: the scalar std::exp path is in use";
+    std::vector<float> x = expSweepInputs();
+    int64_t n = static_cast<int64_t>(x.size());
+    std::vector<float> got(x.size());
+    auto table = [](FusedOpCode op) {
+        return [op](float v) { return applyFusedOpcode(instr(op, 0), v, 0); };
+    };
+    sigmoidBlock(x.data(), got.data(), n);
+    EXPECT_EQ(firstDifferenceFrom(x, got, table(FusedOpCode::kSigmoid)), -1);
+    softplusBlock(x.data(), got.data(), n);
+    EXPECT_EQ(firstDifferenceFrom(x, got, table(FusedOpCode::kSoftplus)),
+              -1);
+    for (float shift : {0.0f, -0.0f, 3.5f, -90.0f, 1e30f}) {
+        expShiftedBlock(x.data(), shift, got.data(), n);
+        EXPECT_EQ(firstDifferenceFrom(x, got,
+                                      [shift](float v) {
+                                          return std::exp(v - shift);
+                                      }),
+                  -1)
+            << "shift " << shift;
+    }
+}
+
+// ---- Row reductions against the reference loops ---------------------
+//
+// softmax (innermost axis), layerNorm and globalAvgPool run
+// kernels/reduce.cpp's independent-rows path; each must equal its
+// *Reference loop bit for bit (memcmp). Row lengths straddle the
+// 16-lane vectors, row counts straddle the 8-row interleave, and the
+// largest cases split across the pool.
+
+const int64_t kRowLengths[] = {1, 2, 7, 15, 16, 17, 32, 48, 384, 784};
+const int64_t kRowCounts[] = {1, 3, 8, 13, 37};
+
+TEST(RowsBitIdentity, SoftmaxInnermostAxisMatchesReference)
+{
+    Rng rng(31);
+    for (int64_t len : kRowLengths) {
+        for (int64_t rows : kRowCounts) {
+            Tensor x = Tensor::randomUniform(Shape({rows, len}), rng, -8.0f,
+                                             8.0f);
+            Tensor got(DType::kFloat32, x.shape());
+            Tensor want(DType::kFloat32, x.shape());
+            softmax(x, -1, &got);
+            softmaxReference(x, -1, &want);
+            expectBitIdentical(got, want,
+                               "softmax " + x.shape().toString());
+        }
+    }
+}
+
+/** Rows the vector path must get exactly right or hand to the
+ *  reference. */
+TEST(RowsBitIdentity, SoftmaxSpecialRowsMatchReference)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float big = std::numeric_limits<float>::max();
+    for (int64_t len : {int64_t{7}, int64_t{17}, int64_t{48}}) {
+        // Each row starts from a base pattern, then plants its case.
+        std::vector<std::vector<std::pair<int64_t, float>>> plants = {
+            {},                                     // plain
+            {{0, nan}},                             // NaN first
+            {{len / 2, nan}},                       // NaN inside
+            {{len - 1, inf}},                       // +inf
+            {{1, -inf}},                            // one -inf
+            {{0, 5.0f}, {len - 1, -200.0f}},        // > 88 below the max
+            {{0, big}, {1, -big}},                  // x - max = -inf
+            {{0, 0.0f}, {1, -0.0f}},                // +0 before -0
+            {{0, -0.0f}, {1, 0.0f}},                // -0 before +0
+            {{len - 1, 0.0f}, {0, -0.0f}},          // tie at the ends
+        };
+        int64_t rows = static_cast<int64_t>(plants.size()) + 3;
+        Tensor x(DType::kFloat32, Shape({rows, len}));
+        float* px = x.data<float>();
+        for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t k = 0; k < len; ++k)
+                px[r * len + k] = -1.0f - 0.25f * static_cast<float>(k % 5);
+            if (r < static_cast<int64_t>(plants.size())) {
+                for (auto [k, v] : plants[r])
+                    px[r * len + k] = v;
+            }
+        }
+        // All equal, all -inf, and -1e30 below a zero maximum.
+        for (int64_t k = 0; k < len; ++k) {
+            px[(rows - 3) * len + k] = 0.5f;
+            px[(rows - 2) * len + k] = -inf;
+            px[(rows - 1) * len + k] = k == 0 ? 0.0f : -1e30f;
+        }
+        Tensor got(DType::kFloat32, x.shape());
+        Tensor want(DType::kFloat32, x.shape());
+        softmax(x, 1, &got);
+        softmaxReference(x, 1, &want);
+        expectBitIdentical(got, want, "special rows, length " +
+                                          std::to_string(len));
+    }
+}
+
+TEST(RowsBitIdentity, SoftmaxOtherAxesTakeTheReference)
+{
+    Rng rng(37);
+    Tensor x = Tensor::randomUniform(Shape({3, 17, 5}), rng, -8.0f, 8.0f);
+    for (int axis : {0, 1}) {
+        Tensor got(DType::kFloat32, x.shape());
+        Tensor want(DType::kFloat32, x.shape());
+        softmax(x, axis, &got);
+        softmaxReference(x, axis, &want);
+        expectBitIdentical(got, want, "axis " + std::to_string(axis));
+    }
+}
+
+TEST(RowsBitIdentity, LayerNormMatchesReference)
+{
+    Rng rng(41);
+    for (int64_t len : kRowLengths) {
+        Tensor scale = Tensor::randomUniform(Shape({len}), rng, 0.5f, 1.5f);
+        Tensor bias = Tensor::randomUniform(Shape({len}), rng, -1.0f, 1.0f);
+        for (int64_t rows : kRowCounts) {
+            Tensor x = Tensor::randomUniform(Shape({1, rows, len}), rng,
+                                             -3.0f, 3.0f);
+            if (rows == 13) {  // one NaN row and one +inf row
+                x.data<float>()[2 * len] =
+                    std::numeric_limits<float>::quiet_NaN();
+                x.data<float>()[5 * len + len - 1] =
+                    std::numeric_limits<float>::infinity();
+            }
+            Tensor got(DType::kFloat32, x.shape());
+            Tensor want(DType::kFloat32, x.shape());
+            layerNorm(x, scale, bias, 1e-5f, &got);
+            layerNormReference(x, scale, bias, 1e-5f, &want);
+            expectBitIdentical(got, want,
+                               "layerNorm " + x.shape().toString());
+        }
+    }
+}
+
+TEST(RowsBitIdentity, GlobalAvgPoolMatchesReference)
+{
+    Rng rng(43);
+    std::vector<int64_t> lengths(std::begin(kRowLengths),
+                                 std::end(kRowLengths));
+    lengths.push_back(4);  // a 2x2 pool
+    for (int64_t len : lengths) {
+        int64_t h = len == 4 ? 2 : len;
+        int64_t w = len / h;
+        for (int64_t rows : kRowCounts) {
+            Tensor x = Tensor::randomUniform(Shape({1, rows, h, w}), rng,
+                                             -3.0f, 3.0f);
+            Tensor got(DType::kFloat32, Shape({1, rows, 1, 1}));
+            Tensor want(DType::kFloat32, Shape({1, rows, 1, 1}));
+            globalAvgPool(x, &got);
+            globalAvgPoolReference(x, &want);
+            expectBitIdentical(got, want,
+                               "globalAvgPool " + x.shape().toString());
+        }
+    }
 }
 
 // ---- Layout ops against the strided-copy reference -----------------
