@@ -282,7 +282,6 @@ resiliencePhase(const ModelSpec& spec)
 
     serving::ServerOptions sopts;
     sopts.workers = 2;
-    sopts.maxBatchSize = 4;
     sopts.breaker.threshold = kBreakerThreshold;
     sopts.breaker.cooldownMillis = kCooldownMs;
     sopts.breaker.probesToClose = 1;

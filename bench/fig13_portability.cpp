@@ -40,13 +40,11 @@ runDevice(const char* title, const DeviceProfile& device)
 }
 
 /**
- * CPU/GPU crossover table from the shared prediction path
- * (CostMeter::predictRunMicros — the same call the fleet router
- * scores members with): per pinned input size, the cost model's
- * predicted latency on each SD-835 profile and which side wins.
- * Small inputs favor the CPU (no launch overhead), large ones the
- * GPU (more flops) — the live-routing version of this plot is
- * bench/fleet_load.
+ * CPU/GPU crossover table from the static prediction path
+ * (CostMeter::predictRunMicros): per pinned input size, the cost
+ * model's predicted latency on each SD-835 profile and which side
+ * wins. Small inputs favor the CPU (no launch overhead), large ones
+ * the GPU (more flops).
  */
 void
 printCrossover()

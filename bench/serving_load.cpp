@@ -5,9 +5,11 @@
  * compile-once/plan-per-signature split).
  *
  * For every zoo model, a Table-7-style skewed four-signature request
- * stream is pushed through a Sod2Server twice — once under shape-
- * affinity dispatch, once under round-robin — each against a fresh
- * engine so plan-cache counters are independent. Affinity's payoff is
+ * stream (SOD2_BENCH_REQUESTS requests, default 64) is pushed through a
+ * Sod2Server twice — once under shape-affinity dispatch, once under
+ * round-robin — each against a fresh engine so plan-cache counters are
+ * independent. Every request is one engine run on its worker's pinned
+ * RunContext. Affinity's payoff is
  * the context-hit count: runs served from a worker's lock-free
  * last-plan memo because the same signature kept landing on the same
  * RunContext. A third pass measures closed-loop end-to-end latency
@@ -27,18 +29,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <set>
 #include <vector>
 
 #include "core/sod2_engine.h"
-#include "graph/builder.h"
 #include "harness.h"
 #include "serving/server.h"
 #include "support/env.h"
 #include "support/fault_injection.h"
-#include "support/metrics.h"
 #include "support/string_util.h"
 
 using namespace sod2;
@@ -138,10 +137,6 @@ serveStream(const ModelSpec& spec, AffinityMode mode,
     sopts.workers = 4;
     sopts.affinity = mode;
     sopts.queueDepth = stream.sig_of_request.size() + 4;  // no shedding
-    // Batching off: this pass compares routing policies on memo hits,
-    // and the coalescer would reorder same-signature requests back-to-
-    // back under either policy. --batched measures batching itself.
-    sopts.maxBatchSize = 1;
     Sod2Server server(&engine, sopts);
 
     // Re-derive the reference against *this* engine's outputs? Not
@@ -263,265 +258,14 @@ overload(const ModelSpec& spec, const StreamSpec& stream)
     return r;
 }
 
-// --- batched mode (--batched) -----------------------------------------
-
-/** Same stackable CNN as tests/batching_test.cpp: a symbolic leading
- *  batch dim the stackability proof accepts. The zoo is no use here —
- *  every zoo model declares batch=1 and rides runBatch's per-item
- *  path, which cannot show a stacking win. */
-struct StackableModel
-{
-    Graph graph;
-    RdpOptions rdp;
-
-    static StackableModel
-    cnn()
-    {
-        StackableModel m;
-        GraphBuilder b(&m.graph);
-        Rng rng(41);
-        ValueId x = b.input("x");
-        ValueId w1 = b.weight("w1", {8, 3, 3, 3}, rng);
-        ValueId c1 = b.relu(b.conv2d(x, w1, -1, 2, 1));
-        ValueId p1 = b.maxPool(c1, 2, 2);
-        ValueId gap = b.globalAvgPool(p1);
-        ValueId flat = b.reshape(gap, {0, -1});
-        ValueId w2 = b.weight("w2", {8, 4}, rng);
-        b.output(b.gelu(b.matmul(flat, w2)));
-
-        m.rdp.inputShapes["x"] = ShapeInfo::ranked(
-            {DimValue::symbol("n"), DimValue::known(3),
-             DimValue::symbol("h"), DimValue::symbol("w")});
-        return m;
-    }
-};
-
-Tensor
-cnnInput(int64_t n, int64_t h, int64_t w, uint64_t seed)
-{
-    Rng rng(seed);
-    return Tensor::randomUniform(Shape({n, 3, h, w}), rng);
-}
-
-struct BatchedModeResult
-{
-    double wallSeconds = 0;
-    uint64_t completed = 0, batches = 0, padRows = 0;
-    double meanBatch = 0, p95Batch = 0;
-    int mismatches = 0;
-};
-
-/**
- * Pushes a pregenerated stream through a paused server, then times
- * start()->drain() — pure backlog service throughput, identical
- * submission cost in every mode. @p max_batch 1 is the unbatched
- * baseline (pre-batching behavior); @p pad additionally stacks across
- * batch extents with pad-to-bucket.
- */
-BatchedModeResult
-serveBatchedStream(const Sod2Engine& engine, int workers, int max_batch,
-                   bool pad, const std::vector<int>& sig_of_request,
-                   const std::vector<std::vector<Tensor>>& inputs,
-                   const std::vector<std::vector<std::vector<uint8_t>>>& want)
-{
-    ServerOptions sopts;
-    sopts.workers = workers;
-    sopts.queueDepth = sig_of_request.size() + 4;  // no shedding
-    sopts.maxBatchSize = max_batch;
-    sopts.maxBatchWaitMicros = 0;  // backlog is already here
-    sopts.padBatches = pad ? 1 : 0;
-    sopts.startPaused = true;
-    Sod2Server server(&engine, sopts);
-
-    // The batch-size histogram is process-global; reset so this pass's
-    // mean/p95 are not polluted by the previous mode's batches.
-    Histogram& batch_hist =
-        MetricsRegistry::instance().histogram("server.batch_size");
-    batch_hist.reset();
-
-    std::vector<std::future<RunResult>> futures;
-    futures.reserve(sig_of_request.size());
-    for (int sig : sig_of_request) {
-        Request req;
-        req.inputs = inputs[sig];
-        futures.push_back(server.submit(std::move(req)));
-    }
-
-    BatchedModeResult r;
-    auto t0 = Clock::now();
-    server.start();
-    server.drain();
-    r.wallSeconds = std::chrono::duration<double>(Clock::now() - t0).count();
-
-    for (size_t i = 0; i < futures.size(); ++i) {
-        RunResult res = futures[i].get();
-        if (!res.ok() ||
-            snapshot(res.outputs) != want[sig_of_request[i]])
-            ++r.mismatches;
-    }
-    ServerStats s = server.stats();
-    r.completed = s.completed;
-    r.batches = s.batches;
-    r.padRows = s.padRows;
-    r.meanBatch = batch_hist.mean();
-    r.p95Batch = batch_hist.percentile(95);
-    return r;
-}
-
-/**
- * Batched-vs-unbatched throughput on a repeated-signature stream
- * against the stackable CNN, plus a mixed-batch-extent padded pass.
- * Exit gates: batched throughput-per-worker >= 1.5x unbatched, and
- * every mode bit-exact vs the serial per-signature reference.
- */
-int
-runBatchedBench()
-{
-    StackableModel model = StackableModel::cnn();
-    Sod2Options eopts;
-    eopts.rdp = model.rdp;
-    Sod2Engine engine(&model.graph, eopts);
-    if (!engine.batchInfo().stackable) {
-        std::printf("FATAL: bench CNN not stackable: %s\n",
-                    engine.batchInfo().reason.c_str());
-        return 1;
-    }
-
-    const int workers = 2;
-    int requests = requestCount() * 4;  // a backlog worth coalescing
-    printHeader(
-        strFormat("Serving load --batched: %d-request repeated-signature "
-                  "stream, %d workers, stacked batching vs per-request "
-                  "dispatch (SOD2_BENCH_REQUESTS scales)",
-                  requests, workers),
-        {"mode", "wall ms", "req/s/worker", "mean batch", "p95 batch",
-         "pad rows", "outputs"});
-
-    // Exact pass: four distinct payloads, ONE signature — the classic
-    // serving stream of single-sample (n=1) requests, where per-run
-    // dispatch overhead dominates and stacking pays. The exact-match
-    // fast path eats the whole stream.
-    std::vector<std::vector<Tensor>> inputs;
-    std::vector<std::vector<std::vector<uint8_t>>> want;
-    std::vector<int> sig_of_request;
-    {
-        RunContext ref_ctx;
-        for (int i = 0; i < 4; ++i) {
-            inputs.push_back({cnnInput(1, 8, 8, 100 + i)});
-            want.push_back(snapshot(engine.run(ref_ctx, inputs.back())));
-        }
-        sig_of_request.reserve(requests);
-        for (int i = 0; i < requests; ++i)
-            sig_of_request.push_back(i % 4);
-    }
-
-    bool all_exact = true;
-    double tput[2] = {0, 0};  // [0]=unbatched, [1]=batched
-    for (int mode = 0; mode < 2; ++mode) {
-        BatchedModeResult r = serveBatchedStream(
-            engine, workers, mode == 0 ? 1 : 16, /*pad=*/false,
-            sig_of_request, inputs, want);
-        bool exact =
-            r.mismatches == 0 &&
-            r.completed == static_cast<uint64_t>(requests);
-        all_exact = all_exact && exact;
-        tput[mode] = static_cast<double>(r.completed) / r.wallSeconds /
-                     workers;
-        const char* name = mode == 0 ? "unbatched" : "batched";
-        printRow({name, fmtMs(r.wallSeconds),
-                  strFormat("%.0f", tput[mode]),
-                  strFormat("%.2f", r.meanBatch),
-                  strFormat("%.1f", r.p95Batch),
-                  strFormat("%llu",
-                            static_cast<unsigned long long>(r.padRows)),
-                  exact ? "bit-exact" : "MISMATCH"});
-        std::printf(
-            "JSON: {\"bench\":\"serving_load_batched\",\"mode\":\"%s\","
-            "\"requests\":%d,\"workers\":%d,\"wall_ms\":%.3f,"
-            "\"throughput_per_worker\":%.1f,\"batches\":%llu,"
-            "\"mean_batch\":%.3f,\"p95_batch\":%.2f,\"pad_rows\":%llu,"
-            "\"pad_waste\":0.0,\"outputs_bit_exact\":%s}\n",
-            name, requests, workers, r.wallSeconds * 1e3, tput[mode],
-            static_cast<unsigned long long>(r.batches), r.meanBatch,
-            r.p95Batch, static_cast<unsigned long long>(r.padRows),
-            exact ? "true" : "false");
-    }
-
-    // Padded pass: batch extents 1/2/3 share a compat key; pad mode
-    // stacks them and pads to the pow2 bucket. Measures pad waste and
-    // proves unpad-slicing bit-exactness end to end.
-    {
-        std::vector<std::vector<Tensor>> mixed;
-        std::vector<std::vector<std::vector<uint8_t>>> mixed_want;
-        int64_t mixed_rows = 0;
-        RunContext ref_ctx;
-        for (int64_t n = 1; n <= 3; ++n) {
-            mixed.push_back({cnnInput(n, 8, 8, 200 + n)});
-            mixed_want.push_back(
-                snapshot(engine.run(ref_ctx, mixed.back())));
-        }
-        std::vector<int> mixed_sig;
-        mixed_sig.reserve(requests);
-        for (int i = 0; i < requests; ++i) {
-            mixed_sig.push_back(i % 3);
-            mixed_rows += 1 + i % 3;
-        }
-        BatchedModeResult r = serveBatchedStream(
-            engine, workers, 16, /*pad=*/true, mixed_sig, mixed,
-            mixed_want);
-        bool exact =
-            r.mismatches == 0 &&
-            r.completed == static_cast<uint64_t>(requests);
-        all_exact = all_exact && exact;
-        double pad_waste =
-            static_cast<double>(r.padRows) /
-            static_cast<double>(mixed_rows + static_cast<int64_t>(
-                                                 r.padRows));
-        double t = static_cast<double>(r.completed) / r.wallSeconds /
-                   workers;
-        printRow({"padded", fmtMs(r.wallSeconds), strFormat("%.0f", t),
-                  strFormat("%.2f", r.meanBatch),
-                  strFormat("%.1f", r.p95Batch),
-                  strFormat("%llu",
-                            static_cast<unsigned long long>(r.padRows)),
-                  exact ? "bit-exact" : "MISMATCH"});
-        std::printf(
-            "JSON: {\"bench\":\"serving_load_batched\",\"mode\":"
-            "\"padded\",\"requests\":%d,\"workers\":%d,\"wall_ms\":%.3f,"
-            "\"throughput_per_worker\":%.1f,\"batches\":%llu,"
-            "\"mean_batch\":%.3f,\"p95_batch\":%.2f,\"pad_rows\":%llu,"
-            "\"pad_waste\":%.4f,\"outputs_bit_exact\":%s}\n",
-            requests, workers, r.wallSeconds * 1e3, t,
-            static_cast<unsigned long long>(r.batches), r.meanBatch,
-            r.p95Batch, static_cast<unsigned long long>(r.padRows),
-            pad_waste, exact ? "true" : "false");
-    }
-    printSeparator();
-
-    double speedup = tput[0] > 0 ? tput[1] / tput[0] : 0;
-    bool fast_enough = speedup >= 1.5;
-    std::printf("batched vs unbatched throughput-per-worker: %.2fx %s\n",
-                speedup,
-                fast_enough ? "(gate: >= 1.5x)"
-                            : "VIOLATION — below the 1.5x gate");
-    std::printf("outputs served vs serial: %s\n",
-                all_exact ? "bit-exact in every mode" : "MISMATCH");
-    return fast_enough && all_exact ? 0 : 1;
-}
-
 }  // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
     // Request-level scheduling is the subject; keep kernels serial so
-    // worker concurrency (and batch stacking) is what the numbers
-    // measure.
+    // worker concurrency is what the numbers measure.
     setenv("SOD2_NUM_THREADS", "1", /*overwrite=*/0);
-
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--batched") == 0)
-            return runBatchedBench();
 
     int requests = requestCount();
     printHeader(

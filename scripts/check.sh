@@ -14,7 +14,7 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 all_labels=(concurrency observability faults serving snapshot resilience
-            fleet kernels)
+            kernels)
 if [ "$#" -gt 0 ]; then
     labels=("$@")
 else
@@ -81,13 +81,15 @@ bench_gate() {
         ./build/bench/fault_soak
         gated[fault_soak]=1 ;;
       serving)
+        # The release build serves the default 64-request stream; the
+        # sanitizer builds a 16-request one, so both still drive the
+        # server end to end.
         ./build/bench/serving_load
         build_preset tsan
-        ./build-tsan/bench/serving_load --batched
+        SOD2_BENCH_REQUESTS=16 ./build-tsan/bench/serving_load
         build_preset asan
-        ./build-asan/bench/serving_load --batched ;;
+        SOD2_BENCH_REQUESTS=16 ./build-asan/bench/serving_load ;;
       snapshot) SOD2_BENCH_SAMPLES=2 ./build/bench/table1_reinit_overhead ;;
-      fleet) ./build/bench/fleet_load ;;
     esac
 }
 

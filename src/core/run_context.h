@@ -46,17 +46,6 @@ class RunContext
     /** The arena this context executes in (observability/tests). */
     const Arena& arena() const { return arena_; }
 
-    /**
-     * Drops the arena's backing buffer immediately (capacity -> 0); the
-     * next run re-reserves exactly what its plan needs. This is the
-     * externally-triggered counterpart of the arena's own high-water
-     * trim: the fleet's MemoryGovernor calls it (through
-     * Sod2Server::trimArenas) to reclaim an idle member's bytes under
-     * global budget pressure. NOT thread-safe — call only from the
-     * thread that owns this context, or while no run is in flight.
-     */
-    void trimArena() { arena_.reset(); }
-
     /** The engine this context is currently bound to (null before the
      *  first run). */
     const Sod2Engine* boundEngine() const { return engine_; }

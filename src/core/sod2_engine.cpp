@@ -27,28 +27,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/**
- * Reconciles an ArenaArbiter's ledger with the arena's true capacity
- * on every exit of the reserve scope — growth, high-water trim, and
- * the throw paths (arbiter denial, per-run budget) alike. The arena's
- * strong guarantee makes capacity() the truth even after a failed
- * reserve, so the ledger can never drift from reality.
- */
-struct ArbiterReconcile
-{
-    ArenaArbiter* arb;
-    const RunContext* ctx;
-    ArbiterReconcile(ArenaArbiter* a, const RunContext* c)
-        : arb(a), ctx(c)
-    {
-    }
-    ~ArbiterReconcile()
-    {
-        if (arb)
-            arb->noteArenaCapacity(ctx, ctx->arena().capacity());
-    }
-};
-
 }  // namespace
 
 void
@@ -219,10 +197,6 @@ Sod2Engine::finishCompile()
     }
 
     binder_ = std::make_unique<SymbolBinder>(*graph_, options_.rdp);
-    // Stackability proof for runBatch (core/batchability.h): decided
-    // once at compile time, consulted per batch at dispatch.
-    batch_info_ =
-        analyzeBatchability(*graph_, *rdp_, binder_->symbolNames());
     // Cached once per process (support/env), so every engine in one
     // process honors the same SOD2_VALIDATE_PLANS value.
     if (env::validatePlans())
@@ -560,22 +534,6 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
     {
         TraceSpan arena_span(tb, "arena", "engine");
         if (options_.enableDmp && !inst->intervals.empty()) {
-            // Guardrail 4: cross-engine arbitration (the fleet's
-            // MemoryGovernor). Asked only when this plan would grow the
-            // arena past its current capacity; a denial is the same
-            // recoverable, fallback-eligible class as the per-run
-            // budget. The reconcile guard reports the arena's real
-            // capacity back on every exit of this scope.
-            ArbiterReconcile reconcile(opts.arenaArbiter, &ctx);
-            if (opts.arenaArbiter &&
-                arena_bytes > ctx.arena_.capacity() &&
-                !opts.arenaArbiter->admitArenaGrow(
-                    &ctx, ctx.arena_.capacity(), arena_bytes)) {
-                SOD2_THROW_CODE(ErrorCode::kArenaExhausted)
-                    << "arena arbiter denied growth from "
-                    << ctx.arena_.capacity() << " to " << arena_bytes
-                    << " bytes (global budget exhausted)";
-            }
             arena_grown = ctx.arena_.reserve(arena_bytes);
             // Validate when the plan changed scale (the planner itself
             // is property-tested for overlap freedom) or when the debug
@@ -956,196 +914,6 @@ Sod2Engine::tryRun(RunContext& ctx, const std::vector<Tensor>& inputs,
         result.message = e.what();
     }
     return result;
-}
-
-RunResult
-Sod2Engine::tryRun(const std::vector<Tensor>& inputs, RunStats* stats,
-                   const RunOptions& opts)
-{
-    return tryRun(default_context_, inputs, stats, opts);
-}
-
-uint64_t
-Sod2Engine::batchCompatKey(const std::vector<int64_t>& values) const
-{
-    if (!batch_info_.stackable)
-        return binder_->signatureHash(values);
-    // Mask the batch extent with a value no real dim can take, so two
-    // requests differing only in batch size hash equal — the grouping
-    // key of the padding batcher.
-    std::vector<int64_t> masked = values;
-    masked.at(static_cast<size_t>(batch_info_.batchSlot)) = -1;
-    return binder_->signatureHash(masked);
-}
-
-int64_t
-Sod2Engine::batchRowsOf(const std::vector<int64_t>& values) const
-{
-    if (!batch_info_.stackable)
-        return 1;
-    return values.at(static_cast<size_t>(batch_info_.batchSlot));
-}
-
-std::vector<RunResult>
-Sod2Engine::runBatch(RunContext& ctx,
-                     const std::vector<const std::vector<Tensor>*>& items,
-                     const RunOptions& opts, const BatchOptions& bopts,
-                     BatchRunStats* bstats) const
-{
-    std::vector<RunResult> results(items.size());
-    if (bstats) {
-        *bstats = BatchRunStats();
-        bstats->items = static_cast<int>(items.size());
-    }
-    if (items.empty())
-        return results;
-
-    // Validate every item up front; a malformed request gets its typed
-    // error here and never touches its batchmates.
-    std::vector<size_t> valid;
-    std::vector<std::vector<int64_t>> values(items.size());
-    valid.reserve(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-        try {
-            signatureFor(*items[i], &values[i]);
-            valid.push_back(i);
-        } catch (const Error& e) {
-            results[i].code = e.code();
-            results[i].message = e.what();
-        } catch (const std::exception& e) {
-            results[i].code = ErrorCode::kInternal;
-            results[i].message = e.what();
-        }
-    }
-    if (valid.empty())
-        return results;
-
-    // Per-item fallback: tryRun in order, owning copies of the outputs
-    // (run()'s alias the context arena and die at the next iteration).
-    auto runEach = [&]() {
-        for (size_t i : valid) {
-            results[i] = tryRun(ctx, *items[i], nullptr, opts);
-            for (Tensor& t : results[i].outputs)
-                t = t.clone();
-        }
-    };
-
-    // Stacked path preconditions: a proven row-independent graph and
-    // items that agree on every extent except the batch slot.
-    bool stack = batch_info_.stackable && valid.size() > 1;
-    int64_t rows = 0;
-    if (stack) {
-        const size_t slot = static_cast<size_t>(batch_info_.batchSlot);
-        const std::vector<int64_t>& first = values[valid.front()];
-        for (size_t i : valid) {
-            const std::vector<int64_t>& v = values[i];
-            if (v.size() != first.size() || v[slot] <= 0) {
-                stack = false;
-                break;
-            }
-            for (size_t k = 0; stack && k < v.size(); ++k)
-                if (k != slot && v[k] != first[k])
-                    stack = false;
-            if (!stack)
-                break;
-            rows += v[slot];
-        }
-    }
-    if (!stack) {
-        runEach();
-        return results;
-    }
-
-    const size_t slot = static_cast<size_t>(batch_info_.batchSlot);
-    int64_t padded = rows;
-    if (bopts.padRowsTo > rows)
-        padded = bopts.padRowsTo;
-
-    // Stack each input along the batch dim. Row byte-strides agree
-    // across items because every non-batch extent binds equally.
-    const size_t num_inputs = items[valid.front()]->size();
-    std::vector<Tensor> stacked;
-    stacked.reserve(num_inputs);
-    for (size_t j = 0; j < num_inputs; ++j) {
-        const Tensor& proto = (*items[valid.front()])[j];
-        std::vector<int64_t> dims = proto.shape().dims();
-        if (dims.empty() || dims[0] <= 0) {
-            // The analysis guarantees a leading batch dim; bail to the
-            // per-item path rather than trust it with memcpy arithmetic.
-            runEach();
-            return results;
-        }
-        const size_t row_bytes =
-            proto.byteSize() / static_cast<size_t>(dims[0]);
-        dims[0] = padded;
-        // zeros() both allocates and provides the pad rows' contents.
-        Tensor big = Tensor::zeros(proto.dtype(), Shape(dims));
-        size_t off = 0;
-        for (size_t i : valid) {
-            const Tensor& t = (*items[i])[j];
-            std::memcpy(static_cast<uint8_t*>(big.raw()) + off, t.raw(),
-                        t.byteSize());
-            off += t.byteSize();
-        }
-        if (off != row_bytes * static_cast<size_t>(rows)) {
-            runEach();  // stride mismatch — analysis invariant violated
-            return results;
-        }
-        stacked.push_back(std::move(big));
-    }
-
-    RunResult whole = tryRun(ctx, stacked, nullptr, opts);
-    if (!whole.ok()) {
-        // One stacked run means one fate: the whole batch sheds with
-        // the same typed error. sharedFate tells the serving layer the
-        // failure is replicated, not individually earned, so it can
-        // bisect the batch and charge only the poison member(s).
-        for (size_t i : valid) {
-            results[i].code = whole.code;
-            results[i].message = whole.message;
-            results[i].fellBack = whole.fellBack;
-            results[i].sharedFate = true;
-        }
-        return results;
-    }
-
-    // Slice outputs back per item by cumulative row offset.
-    for (const Tensor& out : whole.outputs) {
-        const auto& odims = out.shape().dims();
-        if (odims.empty() || odims[0] != padded ||
-            out.byteSize() % static_cast<size_t>(padded) != 0) {
-            runEach();  // unsliceable output — fall back, drop partials
-            return results;
-        }
-    }
-    int64_t row_off = 0;
-    for (size_t i : valid) {
-        const int64_t item_rows = values[i][slot];
-        results[i].code = ErrorCode::kOk;
-        results[i].fellBack = whole.fellBack;
-        results[i].serviceSeconds = whole.serviceSeconds;
-        results[i].outputs.reserve(whole.outputs.size());
-        for (const Tensor& out : whole.outputs) {
-            std::vector<int64_t> dims = out.shape().dims();
-            const size_t row_bytes =
-                out.byteSize() / static_cast<size_t>(padded);
-            dims[0] = item_rows;
-            Tensor piece = Tensor::zeros(out.dtype(), Shape(dims));
-            std::memcpy(piece.raw(),
-                        static_cast<const uint8_t*>(out.raw()) +
-                            static_cast<size_t>(row_off) * row_bytes,
-                        static_cast<size_t>(item_rows) * row_bytes);
-            results[i].outputs.push_back(std::move(piece));
-        }
-        row_off += item_rows;
-    }
-
-    if (bstats) {
-        bstats->stacked = true;
-        bstats->rows = rows;
-        bstats->padRows = padded - rows;
-    }
-    return results;
 }
 
 }  // namespace sod2

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "codegen/kernel_tuner.h"
-#include "core/batchability.h"
 #include "core/plan_cache.h"
 #include "core/run_context.h"
 #include "fusion/fused_executor.h"
@@ -92,40 +91,6 @@ struct Sod2Options
 };
 
 /**
- * Cross-engine arena arbitration (DESIGN.md §16). A RunOptions can
- * carry one of these; the engine then consults it before letting a
- * run's arena grow past its current capacity, and reports the arena's
- * actual capacity back after every arbitrated run (growth, trim, or
- * budget-rejected grow alike), so the arbiter's per-context ledger
- * tracks reality. The fleet's MemoryGovernor implements this to hold N
- * engines under one global byte budget. Implementations must be
- * thread-safe: one arbiter is shared by every worker of every member.
- * The `slot` key is the RunContext address — stable per worker, opaque
- * to the arbiter.
- */
-class ArenaArbiter
-{
-  public:
-    virtual ~ArenaArbiter() = default;
-
-    /** May @p slot's arena grow from @p currentBytes capacity to
-     *  @p requiredBytes? Returning false makes the run fail with a
-     *  typed ArenaExhausted error before any memory moves (the same
-     *  recoverable, fallback-eligible class as the per-run budget).
-     *  A `true` return commits the delta in the arbiter's ledger;
-     *  noteArenaCapacity reconciles it afterwards. */
-    virtual bool admitArenaGrow(const void* slot, size_t currentBytes,
-                                size_t requiredBytes) = 0;
-
-    /** Reports @p slot's arena capacity after an arbitrated run (or an
-     *  explicit trim): the reconciliation hook that releases budget
-     *  when the high-water trim shrank the arena, and charges reality
-     *  when a grow landed smaller than requested. */
-    virtual void noteArenaCapacity(const void* slot,
-                                   size_t capacityBytes) = 0;
-};
-
-/**
  * Per-run guardrails (the serving-path failure contract; DESIGN.md
  * §10). All default-off: a default-constructed RunOptions reproduces
  * the unguarded behavior except that the process-wide
@@ -161,14 +126,6 @@ struct RunOptions
      * is already gone).
      */
     bool fallbackOnError = false;
-    /**
-     * Global cross-engine arena arbiter (fleet MemoryGovernor), or
-     * null. Consulted before this run's arena grows; notified of the
-     * arena's capacity after the run. Overlays — does not replace —
-     * arenaBudgetBytes: a grow must pass both the per-run budget and
-     * the arbiter. Not owned; must outlive every run carrying it.
-     */
-    ArenaArbiter* arenaArbiter = nullptr;
 };
 
 /** Outcome of one tryRun: outputs, or a typed error. */
@@ -182,56 +139,16 @@ struct RunResult
     /** True when the result was served by the interpreter fallback. */
     bool fellBack = false;
     /**
-     * runBatch only: true when this item's failure is a *replicated*
-     * stacked-run failure — the whole coalesced batch ran as one
-     * engine run and that run failed, so this member's own inputs may
-     * be innocent. The serving layer reacts by bisecting: re-running
-     * members individually under their own guardrails so only the
-     * poison member keeps its error. Always false on success and on
-     * per-item (solo) failures.
-     */
-    bool sharedFate = false;
-    /**
      * Engine-side service latency of this result, in seconds: the
      * optimized run's RunStats::seconds (wall time on real devices,
      * cost-model time on simulated profiles), or the fallback
-     * interpreter's wall time when fellBack. 0.0 on failure. The fleet
-     * router's observed-vs-predicted EWMA feeds on this — queue wait is
-     * deliberately excluded so the correction tracks the cost model,
-     * not the scheduler.
+     * interpreter's wall time when fellBack. 0.0 on failure. Queue
+     * wait is excluded: a server reports it as latency minus this
+     * (perfbench's serving.service_ms and serving.wait_ms).
      */
     double serviceSeconds = 0.0;
 
     bool ok() const { return code == ErrorCode::kOk; }
-};
-
-/** Knobs of one runBatch call (the serving batcher fills these from
- *  its BatchPolicy; DESIGN.md §12). */
-struct BatchOptions
-{
-    /**
-     * Pad the stacked batch dimension up to this many rows (zero-filled
-     * rows, sliced away before results are returned) so repeated
-     * batched traffic hits a few bucket-sized plan signatures instead
-     * of one per exact row count. 0 = no padding. Ignored (no padding)
-     * when it is smaller than the real stacked row count or when the
-     * batch takes the per-item path.
-     */
-    int64_t padRowsTo = 0;
-};
-
-/** What one runBatch call actually did (metrics feed). */
-struct BatchRunStats
-{
-    /** True when the batch ran as one stacked engine run; false when
-     *  it fell back to the per-item loop. */
-    bool stacked = false;
-    /** Requests in the batch (valid or not). */
-    int items = 0;
-    /** Real data rows stacked (0 on the per-item path). */
-    int64_t rows = 0;
-    /** Zero rows added to reach BatchOptions::padRowsTo (pad waste). */
-    int64_t padRows = 0;
 };
 
 /** Per-run measurements. */
@@ -366,40 +283,6 @@ class Sod2Engine
                      RunStats* stats = nullptr,
                      const RunOptions& opts = {}) const;
 
-    /** tryRun through the engine-owned default context (single-
-     *  threaded convenience, like the context-less run()). */
-    RunResult tryRun(const std::vector<Tensor>& inputs,
-                     RunStats* stats = nullptr,
-                     const RunOptions& opts = {});
-
-    /**
-     * Executes @p items (each one request's input vector) as one batch
-     * in @p ctx and returns one RunResult per item, index-aligned.
-     *
-     * When the compiled graph is stackable (batchInfo().stackable) and
-     * the items agree on every symbolic extent except the batch dim,
-     * the inputs are concatenated along the batch dim — optionally
-     * zero-padded up to BatchOptions::padRowsTo — executed as ONE
-     * engine run reusing one plan instantiation, and the outputs are
-     * sliced back per item. Row independence is proven statically
-     * (core/batchability.h), so stacked results are bit-exact against
-     * per-item runs; a failure of the stacked run is replicated to
-     * every item (the batch sheds together).
-     *
-     * Otherwise each item runs through tryRun in submission order,
-     * still amortizing plan work via the context's last-plan memo, and
-     * failures stay per-item. A malformed item (typed InvalidInput /
-     * BindFailure) never poisons its batchmates on either path.
-     *
-     * Unlike run(), every returned output tensor is an owning copy —
-     * callers may hold them across later runs of @p ctx.
-     */
-    std::vector<RunResult>
-    runBatch(RunContext& ctx,
-             const std::vector<const std::vector<Tensor>*>& items,
-             const RunOptions& opts = {}, const BatchOptions& bopts = {},
-             BatchRunStats* bstats = nullptr) const;
-
     /**
      * Canonical shape-signature of @p inputs — the plan-cache key the
      * serving scheduler routes on (shape-affinity dispatch). Validates
@@ -442,9 +325,6 @@ class Sod2Engine
     /** The plan cache, or null when disabled (planCacheCapacity == 0). */
     const PlanCache* planCache() const { return plan_cache_.get(); }
 
-    /** Outcome of the compile-time stackability proof. */
-    const BatchInfo& batchInfo() const { return batch_info_; }
-
     /** True when this engine adopted a CompiledArtifact (snapshot
      *  load) instead of running the analysis phases itself. */
     bool loadedFromSnapshot() const { return loaded_from_snapshot_; }
@@ -457,21 +337,6 @@ class Sod2Engine
      * synchronized cache.
      */
     CompiledArtifact exportArtifact(size_t maxWarmEntries = 16) const;
-
-    /**
-     * Batch-compatibility key of a canonical binding vector (from
-     * signatureFor): the signature hash with the batch extent masked
-     * out. Two requests with equal keys can share one *stacked* run
-     * (padding mode); when the graph is not stackable this degenerates
-     * to the exact signature hash, so exact-match batching keeps
-     * working unchanged.
-     */
-    uint64_t batchCompatKey(const std::vector<int64_t>& values) const;
-
-    /** Batch rows @p values describes: the bound batch extent for a
-     *  stackable graph, else 1 (a non-stackable request is one row of
-     *  its own batch). */
-    int64_t batchRowsOf(const std::vector<int64_t>& values) const;
 
     /**
      * Statically estimates one run's latency for the canonical binding
@@ -493,10 +358,10 @@ class Sod2Engine
     /**
      * Shared constructor tail: everything derivable from (graph_,
      * options_, rdp_, fusion_, plan_, versions_, folded_) — group
-     * compilation, version selectors, binder, batchability, plan
-     * cache, step maps, DMP interval skeletons. Both the
-     * analyzing constructor and artifact adoption end here, so derived
-     * state never diverges between a compiled and a loaded engine.
+     * compilation, version selectors, binder, plan cache, step maps,
+     * DMP interval skeletons. Both the analyzing constructor and
+     * artifact adoption end here, so derived state never diverges
+     * between a compiled and a loaded engine.
      */
     void finishCompile();
 
@@ -549,8 +414,6 @@ class Sod2Engine
     std::vector<VersionSelector> selectors_;
     /** Precompiled input binder (the per-run fast path). */
     std::unique_ptr<SymbolBinder> binder_;
-    /** Compile-time stackability proof (core/batchability.h). */
-    BatchInfo batch_info_;
     /** Shape-signature plan cache (null when disabled). Internally
      *  synchronized — the one piece of shared state run() writes. */
     std::unique_ptr<PlanCache> plan_cache_;

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <future>
 #include <mutex>
 #include <vector>
@@ -56,41 +55,21 @@ struct Pending
      * Engine this request was validated and signed against, and the
      * admission epoch it was admitted under (bumped by every blue/green
      * engine swap — serving/server.h). The worker runs the request on
-     * THIS engine, and batching never mixes epochs, so a request can
-     * never be misrouted to an engine whose signature schema it was not
-     * validated against. Null engine (pre-swap tests constructing
-     * Pending directly) means "the server's current engine".
+     * THIS engine, so a request can never be misrouted to an engine
+     * whose signature schema it was not validated against.
      */
     const Sod2Engine* engine = nullptr;
     uint64_t epoch = 0;
-    /** Batch-compatibility key: the signature with the batch extent
-     *  masked (Sod2Engine::batchCompatKey) — equal keys may share one
-     *  padded stacked run. Equals signature when not stackable. */
-    uint64_t compatKey = 0;
-    /** Batch rows this request contributes when stacked (the bound
-     *  leading batch extent; 1 for non-stackable engines). */
-    int64_t rows = 1;
     /** Input payload bytes (the admission bytes-budget unit). */
     size_t bytes = 0;
     /**
      * True when this request is a half-open circuit-breaker probe
      * (serving/resilience.h): it was admitted through an open breaker
-     * to re-test its signature, runs solo (never coalesced), and its
-     * outcome — including being dropped unrun — MUST be reported back
-     * to the scoreboard or the breaker wedges half-open.
+     * to re-test its signature, and its outcome — including being
+     * dropped unrun — MUST be reported back to the scoreboard or the
+     * breaker wedges half-open.
      */
     bool breakerProbe = false;
-    /**
-     * Maintenance item (Sod2Server::trimArenas): when set, the worker
-     * runs this on its own RunContext instead of executing a request —
-     * the only way to touch a pinned context without racing a run.
-     * Maintenance items bypass admission accounting (never counted in
-     * queued_count_/bytes), are never batched (peekCompatible skips
-     * them), and resolve their promise with a default RunResult once
-     * the callback returns. Pushed at maximum priority with the epoch
-     * sentinel UINT64_MAX, which no admission epoch ever uses.
-     */
-    std::function<void(RunContext&)> maintenance;
 };
 
 /** Closeable priority-FIFO handoff between dispatcher and one worker. */
@@ -110,53 +89,6 @@ class RequestQueue
      *  closed *and* empty — a closed queue still drains in order. */
     bool pop(Pending* out);
 
-    /**
-     * Batch-drain primitive: removes up to @p max queued items whose
-     * signature (or, when @p use_compat_key, compatKey) equals @p key
-     * AND whose admission epoch equals @p epoch (batches never mix
-     * engines across a blue/green swap) and appends them to @p out in
-     * queue order. Non-matching items are left exactly where they are,
-     * so FIFO order is preserved within the matched signature and the
-     * priority order of every other signature is untouched — a
-     * higher-priority non-matching request still pops first afterwards.
-     *
-     * Priority fence: the scan stops before taking a matching item of
-     * STRICTLY lower priority than a non-matching item it already
-     * passed — batching a low-priority compatible request ahead of an
-     * earlier higher-priority incompatible one would execute it first
-     * (priority inversion through batching). Equal-priority compatible
-     * items behind a non-matching one are still taken (FIFO within the
-     * matched signature; cross-signature order within one priority
-     * carries no ordering promise).
-     *
-     * Quarantine: when @p admit is non-empty, an item it rejects is
-     * treated exactly like a non-matching one — left in place and
-     * counted toward the priority fence. The batcher passes a
-     * predicate excluding suspect-signature requests and breaker
-     * probes, which must run solo (serving/resilience.h).
-     *
-     * Never blocks; returns the number of items moved (0 when
-     * closed-and-empty or nothing matches).
-     */
-    size_t peekCompatible(
-        uint64_t key, uint64_t epoch, size_t max,
-        std::vector<Pending>* out, bool use_compat_key = false,
-        const std::function<bool(const Pending&)>& admit = {});
-
-    /** Monotonic count of push() calls that enqueued an item — the
-     *  "did anything new arrive?" ticket for waitForArrival(). */
-    uint64_t pushCount() const;
-
-    /**
-     * Blocks until pushCount() != @p seen, the queue is closed, or
-     * @p deadline passes; returns the current pushCount(). The
-     * continuous-batching straggler wait: a worker holding a non-full
-     * batch sleeps here instead of spinning on peekCompatible.
-     */
-    uint64_t
-    waitForArrival(uint64_t seen,
-                   std::chrono::steady_clock::time_point deadline);
-
     /** Marks the queue closed and wakes the blocked worker. Items
      *  already queued remain poppable (drain-on-close). */
     void close();
@@ -174,7 +106,6 @@ class RequestQueue
     /** Priority-descending, FIFO within a priority. */
     std::deque<Pending> items_;
     bool closed_ = false;
-    uint64_t push_count_ = 0;
 };
 
 }  // namespace serving

@@ -127,7 +127,7 @@ RetryBackoff::nextDelayMicros()
     return prev_;
 }
 
-// --- per-signature circuit breaker + quarantine ----------------------
+// --- per-signature circuit breaker -----------------------------------
 
 const char*
 breakerStateName(BreakerState s)
@@ -166,8 +166,7 @@ SignatureScoreboard::admit(uint64_t signature, Clock::time_point now)
     Entry& e = it->second;
     switch (e.state) {
       case BreakerState::kClosed:
-        // Suspect (uncleared failures) but not tripped: admitted, and
-        // the batcher's quarantine keeps it out of stacked batches.
+        // Uncleared failures below the threshold: still admitted.
         return Admission::kAdmit;
       case BreakerState::kOpen: {
         auto cooldown =
@@ -214,14 +213,14 @@ SignatureScoreboard::onSuccess(uint64_t signature, bool probe,
     if (probe && e.state == BreakerState::kHalfOpen) {
         e.probeInFlight = false;
         if (++e.probeSuccesses >= opts_.probesToClose) {
-            // Fully healed: erase the row, ending quarantine too.
+            // Fully healed: erase the row.
             entries_.erase(it);
         }
         return;
     }
     if (e.state == BreakerState::kClosed) {
         // A closed-state success clears the consecutive-failure streak
-        // and the suspect flag with it.
+        // and the row with it.
         entries_.erase(it);
     }
     // A non-probe success while open/half-open is an in-flight
@@ -287,15 +286,6 @@ SignatureScoreboard::onProbeDropped(uint64_t signature)
         e.probeInFlight = false;
 }
 
-bool
-SignatureScoreboard::suspect(uint64_t signature) const
-{
-    if (!enabled())
-        return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.find(signature) != entries_.end();
-}
-
 std::vector<BreakerHealth>
 SignatureScoreboard::snapshot() const
 {
@@ -311,7 +301,6 @@ SignatureScoreboard::snapshot() const
         h.consecutiveFailures = kv.second.consecutive;
         h.trips = kv.second.trips;
         h.shed = kv.second.shed;
-        h.suspect = true;
         rows.push_back(h);
     }
     std::sort(rows.begin(), rows.end(),

@@ -16,11 +16,6 @@
  * shed fast with kCircuitOpen instead of burning workers — while every
  * other signature keeps serving bit-exact and on time.
  *
- * The scoreboard also powers *batch quarantine*: a signature with any
- * recent uncleared failure is "suspect" and is excluded from batch
- * coalescing (it runs solo) until one success clears it, so a poison
- * signature can never repeatedly kill stacked batchmates.
- *
  * All state machines here are mutex-private and take no other locks,
  * so they nest safely under both the server mutex and the queue mutex
  * (lock order: server/queue -> scoreboard, never the reverse).
@@ -68,7 +63,7 @@ bool transientRetryable(ErrorCode code);
 
 /** Per-signature circuit-breaker tuning. Fields left negative resolve
  *  from SOD2_BREAKER_THRESHOLD / _COOLDOWN_MS / _PROBES; a resolved
- *  threshold of 0 disables breakers (and quarantine) entirely. */
+ *  threshold of 0 disables breakers entirely. */
 struct BreakerOptions {
     /** Consecutive charged failures that trip the breaker (0 = off). */
     int threshold = -1;
@@ -106,9 +101,9 @@ struct RetryOptions {
  * Per-request retry-delay generator: the classic "decorrelated jitter"
  * schedule, delay = min(cap, uniform(base, prev * 3)). Successive
  * delays grow stochastically toward the cap, and two requests that
- * fail together (e.g. batchmates split by bisection) draw different
- * delays from their different seeds, so their retries do not stampede
- * the same contended resource in lockstep.
+ * fail together draw different delays from their different seeds, so
+ * their retries do not stampede the same contended resource in
+ * lockstep.
  */
 class RetryBackoff
 {
@@ -127,7 +122,7 @@ class RetryBackoff
     Rng rng_;
 };
 
-// --- per-signature circuit breaker + quarantine ----------------------
+// --- per-signature circuit breaker -----------------------------------
 
 /** Breaker lifecycle (closed -> open -> half-open -> closed). */
 enum class BreakerState {
@@ -148,7 +143,6 @@ struct BreakerHealth {
     int consecutiveFailures = 0;  ///< charged failures since success
     uint64_t trips = 0;           ///< times this breaker opened
     uint64_t shed = 0;            ///< requests shed while open
-    bool suspect = false;         ///< quarantined from coalescing
 };
 
 /**
@@ -162,9 +156,8 @@ struct BreakerHealth {
  *
  * Only *charged* codes (breakerCharged) move the machine; policy sheds
  * and malformed requests neither trip nor heal a breaker. A signature
- * is "suspect" — quarantined to solo, unbatched runs — from its first
- * uncleared charged failure until a success erases its row, so the
- * breaker never needs to trip for batchmate protection to kick in.
+ * has a row from its first uncleared charged failure until a success
+ * erases it.
  *
  * Thread-safety: every method is safe to call concurrently; internal
  * state is guarded by one private mutex and no other lock is taken.
@@ -196,8 +189,8 @@ class SignatureScoreboard
     Admission admit(uint64_t signature,
                     Clock::time_point now = Clock::now());
 
-    /** Reports a completed OK run. Clears the signature's row (ending
-     *  quarantine); a probe success counts toward probesToClose. */
+    /** Reports a completed OK run. Clears the signature's row; a probe
+     *  success counts toward probesToClose. */
     void onSuccess(uint64_t signature, bool probe,
                    Clock::time_point now = Clock::now());
 
@@ -211,10 +204,6 @@ class SignatureScoreboard
      *  in-queue deadline expiry, shutdown): releases the probe slot so
      *  the next admit can re-probe. */
     void onProbeDropped(uint64_t signature);
-
-    /** True when @p signature has any uncleared charged failure — the
-     *  batcher excludes suspect signatures from coalescing. */
-    bool suspect(uint64_t signature) const;
 
     /** Rows for every signature with uncleared failures. */
     std::vector<BreakerHealth> snapshot() const;

@@ -1,7 +1,6 @@
 #include "serving/server.h"
 
 #include <algorithm>
-#include <climits>
 #include <utility>
 
 #include "support/env.h"
@@ -15,7 +14,6 @@ namespace {
 
 constexpr int kDefaultWorkers = 4;
 constexpr size_t kDefaultQueueDepth = 64;
-constexpr int kDefaultBatchMax = 8;
 
 int
 resolveWorkers(int requested)
@@ -33,23 +31,6 @@ resolveQueueDepth(size_t requested)
         return requested;
     size_t from_env = env::serverQueueDepth();
     return from_env > 0 ? from_env : kDefaultQueueDepth;
-}
-
-BatchPolicy
-resolveBatchPolicy(const ServerOptions& options)
-{
-    BatchPolicy policy;
-    if (options.maxBatchSize > 0)
-        policy.maxBatchSize = options.maxBatchSize;
-    else
-        policy.maxBatchSize =
-            env::batchMax() > 0 ? env::batchMax() : kDefaultBatchMax;
-    policy.maxWaitMicros = options.maxBatchWaitMicros >= 0
-                               ? options.maxBatchWaitMicros
-                               : env::batchWaitMicros();
-    policy.padToBucket =
-        options.padBatches >= 0 ? options.padBatches > 0 : env::batchPad();
-    return policy;
 }
 
 size_t
@@ -86,6 +67,25 @@ codeIndex(ErrorCode code)
                                                ErrorCode::kInternal);
 }
 
+/** tryRun with owning outputs: the engine's alias the worker context's
+ *  arena, which the worker's next run overwrites. */
+RunResult
+runOwned(const Sod2Engine& engine, RunContext& ctx,
+         const std::vector<Tensor>& inputs, const RunOptions& opts)
+{
+    RunResult r = engine.tryRun(ctx, inputs, nullptr, opts);
+    try {
+        for (Tensor& t : r.outputs)
+            t = t.clone();
+    } catch (const std::exception& e) {
+        // tryRun never throws; a failed copy must not kill the worker.
+        r.outputs.clear();
+        r.code = ErrorCode::kInternal;
+        r.message = e.what();
+    }
+    return r;
+}
+
 }  // namespace
 
 Sod2Server::Sod2Server(const Sod2Engine* engine, ServerOptions options)
@@ -93,25 +93,15 @@ Sod2Server::Sod2Server(const Sod2Engine* engine, ServerOptions options)
       options_(options),
       queue_depth_cap_(resolveQueueDepth(options.queueDepth)),
       policy_(options.affinity,
-              static_cast<size_t>(resolveWorkers(options.workers))),
-      batch_policy_(resolveBatchPolicy(options))
+              static_cast<size_t>(resolveWorkers(options.workers)))
 {
     SOD2_CHECK(engine != nullptr) << "Sod2Server needs a compiled engine";
-    // Padding only pays off when the graph can actually stack; a
-    // non-stackable engine silently keeps the exact-signature path
-    // (batchCompatKey degenerates to the signature there anyway).
-    if (!engine->batchInfo().stackable)
-        batch_policy_.padToBucket = false;
     MetricsRegistry& metrics = MetricsRegistry::instance();
     metric_admitted_ = &metrics.counter("server.admitted");
     metric_shed_ = &metrics.counter("server.shed");
     metric_expired_ = &metrics.counter("server.expired");
     metric_completed_ = &metrics.counter("server.completed");
     metric_batches_ = &metrics.counter("server.batches");
-    metric_pad_rows_ = &metrics.counter("server.pad_rows");
-    metric_deadline_retries_ = &metrics.counter("server.deadline_retries");
-    metric_batch_retries_ = &metrics.counter("server.batch_retries");
-    metric_poison_isolated_ = &metrics.counter("server.poison_isolated");
     metric_transient_retries_ =
         &metrics.counter("server.transient_retries");
     metric_circuit_shed_ = &metrics.counter("server.circuit_shed");
@@ -119,8 +109,6 @@ Sod2Server::Sod2Server(const Sod2Engine* engine, ServerOptions options)
     metric_breaker_probes_ = &metrics.counter("server.breaker_probes");
     metric_watchdog_stalls_ =
         &metrics.counter("server.watchdog_stalls");
-    metric_batch_size_ = &metrics.histogram(
-        "server.batch_size", Histogram::defaultBatchSizeBounds());
     metric_queue_depth_ = &metrics.gauge("server.queue_depth");
     metric_inflight_ = &metrics.gauge("server.inflight");
 
@@ -249,9 +237,8 @@ Sod2Server::submit(Request request)
         // typed upfront checks (arity/dtype/rank/binding) and yields
         // the shape signature the dispatch routes on.
         uint64_t signature = 0;
-        std::vector<int64_t> values;
         try {
-            signature = eng->signatureFor(request.inputs, &values);
+            signature = eng->signatureFor(request.inputs);
         } catch (const Error& e) {
             {
                 std::lock_guard<std::mutex> lock(mu_);
@@ -263,8 +250,6 @@ Sod2Server::submit(Request request)
             return future;
         }
         pending.signature = signature;
-        pending.compatKey = eng->batchCompatKey(values);
-        pending.rows = eng->batchRowsOf(values);
 
         // Admission check 3: depth and bytes budgets, reserved
         // atomically so concurrent submits cannot jointly overflow.
@@ -313,7 +298,7 @@ Sod2Server::submit(Request request)
         // open breaker sheds fast with a typed kCircuitOpen (the plan
         // for this exact signature failed its last N attempts); once
         // its cooldown elapses exactly one request is admitted as the
-        // half-open probe, marked so it runs solo and reports back.
+        // half-open probe, marked so it reports back.
         switch (scoreboard_.admit(pending.signature)) {
           case SignatureScoreboard::Admission::kShed:
             ++counts_.shed;
@@ -348,13 +333,7 @@ Sod2Server::submit(Request request)
     metric_admitted_->add();
     metric_queue_depth_->add(1);
 
-    // Pad mode routes by batch-compat key (batch extent masked) so
-    // same-class requests of different batch sizes share one worker
-    // queue and can actually meet in a padded batch; exact mode keeps
-    // signature routing, which maximizes warm last-plan hits.
-    size_t target = workerFor(batch_policy_.padToBucket
-                                  ? pending.compatKey
-                                  : pending.signature);
+    size_t target = workerFor(pending.signature);
     if (!workers_[target]->queue.push(std::move(pending))) {
         // Raced with shutdown: the queue closed between admission and
         // push. Reverse the admission and shed typed.
@@ -407,7 +386,7 @@ Sod2Server::releaseEpochLocked(uint64_t epoch)
 {
     auto it = epoch_live_.find(epoch);
     if (it == epoch_live_.end())
-        return;  // directly-enqueued Pending (tests) — untracked
+        return;
     if (--it->second == 0)
         epoch_live_.erase(it);
 }
@@ -425,87 +404,31 @@ Sod2Server::workerLoop(size_t index)
     Worker& worker = *workers_[index];
     worker.ctx.traceBuffer().setLaneName(
         strFormat("server-worker-%zu", index));
-    // Quarantine gate for coalescing: suspect signatures (uncleared
-    // breaker failures) and half-open probes must run solo, so they
-    // can neither kill innocent batchmates nor hide behind them.
-    std::function<bool(const Pending&)> quarantine;
-    if (scoreboard_.enabled())
-        quarantine = [this](const Pending& p) {
-            return !p.breakerProbe && !scoreboard_.suspect(p.signature);
-        };
-    Pending first;
-    while (worker.queue.pop(&first)) {
+    Pending p;
+    while (worker.queue.pop(&p)) {
         worker.lastProgressUs.store(nowMicros(),
                                     std::memory_order_relaxed);
-        // Maintenance item (trimArenas): run the callback on this
-        // worker's pinned context — the only thread allowed to touch
-        // it — then resolve and go back to popping. Maintenance never
-        // entered the admission counters, so none are released here.
-        if (first.maintenance) {
-            first.maintenance(worker.ctx);
-            worker.arenaBytes.store(worker.ctx.arena().capacity(),
-                                    std::memory_order_relaxed);
-            first.promise.set_value(RunResult());
-            continue;
-        }
-        // Continuous batching: grow the popped request into a batch of
-        // compatible queued requests (bounded straggler wait inside).
-        // A solo-quarantined leader skips coalescing entirely.
-        const bool leader_solo =
-            first.breakerProbe ||
-            (scoreboard_.enabled() &&
-             scoreboard_.suspect(first.signature));
-        std::vector<Pending> batch;
-        batch.push_back(std::move(first));
-        if (!leader_solo)
-            collectBatch(worker.queue, batch_policy_, &batch,
-                         quarantine);
 
-        // The batch executes on the engine its members were admitted
-        // against — all equal, since collectBatch never batches across
-        // admission epochs — so a blue/green swap never re-routes an
-        // admitted request. A directly-enqueued Pending without one
-        // (engine == nullptr) runs on the server's current engine.
-        const Sod2Engine* engine = batch.front().engine;
-        if (engine == nullptr) {
-            std::lock_guard<std::mutex> lock(mu_);
-            engine = engine_;
-        }
-
-        // Account the whole dequeue at once. Bytes are released here
-        // for EVERY member — including those shed moments later on
-        // in-queue deadline expiry — so sustained expiry can never
-        // leak admission budget. Each member counts as inflight until
-        // its promise resolves (including the expired-shed path) so
-        // drain() cannot observe queued==0 && inflight==0 with a
-        // future still pending.
-        size_t batch_bytes = 0;
-        for (const Pending& p : batch)
-            batch_bytes += p.bytes;
+        // Account the dequeue. Bytes are released here even for a
+        // request shed moments later on in-queue deadline expiry, so
+        // sustained expiry can never leak admission budget. The
+        // request counts as inflight until its promise resolves
+        // (including the expired-shed path) so drain() cannot observe
+        // queued==0 && inflight==0 with a future still pending.
         {
             std::lock_guard<std::mutex> lock(mu_);
-            queued_count_ -= batch.size();
-            queued_bytes_ -= batch_bytes;
-            inflight_ += batch.size();
+            --queued_count_;
+            queued_bytes_ -= p.bytes;
+            ++inflight_;
         }
-        metric_queue_depth_->add(-static_cast<int64_t>(batch.size()));
-        metric_inflight_->add(static_cast<int64_t>(batch.size()));
+        metric_queue_depth_->add(-1);
+        metric_inflight_->add(1);
 
-        // In-queue expiry: shed typed without executing; survivors
-        // keep their batch slot (queue order).
-        auto now = std::chrono::steady_clock::now();
-        std::vector<Pending> live;
-        live.reserve(batch.size());
-        size_t expired = 0;
-        for (Pending& p : batch) {
-            bool dead =
-                p.deadline !=
-                    std::chrono::steady_clock::time_point::max() &&
-                now >= p.deadline;
-            if (!dead) {
-                live.push_back(std::move(p));
-                continue;
-            }
+        // In-queue expiry: shed typed without executing.
+        const auto now = std::chrono::steady_clock::now();
+        const bool has_deadline =
+            p.deadline != std::chrono::steady_clock::time_point::max();
+        if (has_deadline && now >= p.deadline) {
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 ++counts_.expired;
@@ -516,334 +439,133 @@ Sod2Server::workerLoop(size_t index)
             failPending(p, ErrorCode::kDeadlineExceeded,
                         "deadline expired while queued; request shed "
                         "without executing");
-            ++expired;
-        }
-        if (expired > 0) {
             {
                 std::lock_guard<std::mutex> lock(mu_);
-                inflight_ -= expired;
+                --inflight_;
             }
-            metric_inflight_->add(-static_cast<int64_t>(expired));
+            metric_inflight_->add(-1);
             idle_cv_.notify_all();
-        }
-        if (live.empty())
             continue;
-
-        // Merged guardrails for the shared run. The batch members
-        // agree on shape (that is what made them compatible) but may
-        // disagree on per-request options; the merge is conservative:
-        // the earliest deadline governs, the arena budget is the
-        // loosest member's (unlimited wins), and the interpreter
-        // fallback fires only when every member opted in.
-        RunOptions opts = live.front().runOptions;
-        bool fallback_all = true;
-        bool arena_unlimited = false;
-        size_t arena_max = 0;
-        double run_deadline = 0.0;
-        for (const Pending& p : live) {
-            fallback_all = fallback_all && p.runOptions.fallbackOnError;
-            if (p.runOptions.arenaBudgetBytes == 0)
-                arena_unlimited = true;
-            else
-                arena_max =
-                    std::max(arena_max, p.runOptions.arenaBudgetBytes);
-            double d = p.runOptions.deadlineSeconds;
-            if (p.deadline !=
-                std::chrono::steady_clock::time_point::max()) {
-                // Hand the engine the *remaining* time so mid-run
-                // expiry surfaces its cooperative group-boundary
-                // error unchanged.
-                double remaining = secondsUntil(p.deadline, now);
-                d = d > 0.0 ? std::min(d, remaining) : remaining;
-            }
-            if (d > 0.0)
-                run_deadline =
-                    run_deadline > 0.0 ? std::min(run_deadline, d) : d;
-        }
-        opts.fallbackOnError = fallback_all;
-        opts.arenaBudgetBytes = arena_unlimited ? 0 : arena_max;
-        opts.deadlineSeconds = run_deadline;
-
-        BatchOptions bopts;
-        if (batch_policy_.padToBucket &&
-            engine->batchInfo().stackable) {
-            int64_t rows = 0;
-            for (const Pending& p : live)
-                rows += p.rows;
-            bopts.padRowsTo = BatchPolicy::bucketRows(rows);
         }
 
-        std::vector<const std::vector<Tensor>*> item_inputs;
-        item_inputs.reserve(live.size());
-        for (const Pending& p : live)
-            item_inputs.push_back(&p.inputs);
-
-        // Watchdog instrumentation: mark the worker busy with the
-        // merged run deadline so a hung dispatch is detectable.
+        // The request's own guardrails. The engine gets the *remaining*
+        // time (capped by the server default's deadline), so mid-run
+        // expiry surfaces its cooperative group-boundary error
+        // unchanged.
+        RunOptions opts = p.runOptions;
+        if (has_deadline) {
+            const double remaining = secondsUntil(p.deadline, now);
+            opts.deadlineSeconds =
+                opts.deadlineSeconds > 0.0
+                    ? std::min(opts.deadlineSeconds, remaining)
+                    : remaining;
+        }
+        // Watchdog instrumentation: mark the worker busy with the run
+        // deadline so a hung dispatch is detectable.
         worker.busyDeadlineUs.store(
-            run_deadline > 0.0
-                ? nowMicros() + static_cast<int64_t>(run_deadline * 1e6)
+            opts.deadlineSeconds > 0.0
+                ? nowMicros() +
+                      static_cast<int64_t>(opts.deadlineSeconds * 1e6)
                 : 0,
             std::memory_order_relaxed);
         worker.busy.store(true, std::memory_order_relaxed);
 
-        BatchRunStats bstats;
-        std::vector<RunResult> results;
-        try {
-            results = engine->runBatch(worker.ctx, item_inputs, opts,
-                                       bopts, &bstats);
-        } catch (const std::exception& e) {
-            // runBatch is non-throwing by contract; belt-and-braces so
-            // a worker thread can never die on an escaped exception.
-            results.assign(live.size(), RunResult());
-            for (RunResult& r : results) {
-                r.code = ErrorCode::kInternal;
-                r.message = e.what();
-            }
-        }
+        // The request executes on the engine it was admitted against,
+        // so a blue/green swap never re-routes an admitted request.
+        const Sod2Engine& engine = *p.engine;
+        RunResult result = runOwned(engine, worker.ctx, p.inputs, opts);
 
-        // Batch-failure bisection (DESIGN.md §15). Both batch paths
-        // execute under the MERGED guardrails, so a whole-batch
-        // failure reaches members whose own guardrails never fired:
-        // the stacked path replicates its one fate outright
-        // (RunResult::sharedFate), the merged earliest deadline
-        // expires for batchmates with time to spare, and the
-        // conservative fallback merge can deny a member the
-        // interpreter fallback it asked for. Each such member re-runs
-        // individually under its OWN guardrails — innocent batchmates
-        // succeed bit-exactly, and only the member(s) whose failure
-        // survives the solo re-run keep a typed error (the poison).
-        // A solo "batch" already ran under its own options — no
-        // bisection.
-        if (live.size() > 1) {
-            for (size_t i = 0; i < live.size() && i < results.size();
-                 ++i) {
-                RunResult& r = results[i];
-                if (r.ok())
-                    continue;
-                const bool merged_deadline =
-                    r.code == ErrorCode::kDeadlineExceeded;
-                // Per-item-path failures that were NOT the merged
-                // deadline and NOT a denied fallback are individually
-                // earned under guardrails at least as loose as the
-                // member's own — a solo re-run cannot change them.
-                const bool fallback_denied =
-                    live[i].runOptions.fallbackOnError &&
-                    !opts.fallbackOnError &&
-                    (r.code == ErrorCode::kArenaExhausted ||
-                     r.code == ErrorCode::kKernelFailure ||
-                     r.code == ErrorCode::kBindFailure ||
-                     r.code == ErrorCode::kInternal);
-                if (!r.sharedFate && !merged_deadline &&
-                    !fallback_denied)
-                    continue;
-                // Opt-out keeps the pre-bisection behavior: only the
-                // merged-deadline retry.
-                if (!options_.isolateBatchFailures && !merged_deadline)
-                    continue;
-                RunOptions own = live[i].runOptions;
+        // Bounded transient retry (DESIGN.md §15): a transient failure
+        // (arena pressure that may clear, a one-off plan/cache-publish
+        // fault) gets up to maxAttempts re-runs under decorrelated-
+        // jitter backoff, deadline-aware so a retry never spends time
+        // the request no longer has.
+        if (retry_opts_.enabled() && !result.ok() &&
+            transientRetryable(result.code)) {
+            RetryBackoff backoff(retry_opts_, p.seq + 1);
+            for (int attempt = 0; attempt < retry_opts_.maxAttempts;
+                 ++attempt) {
+                const long long delay = backoff.nextDelayMicros();
+                RunOptions own = p.runOptions;
                 int64_t own_deadline_us = 0;
-                if (live[i].deadline !=
-                    std::chrono::steady_clock::time_point::max()) {
-                    auto now_retry = std::chrono::steady_clock::now();
-                    double remaining =
-                        secondsUntil(live[i].deadline, now_retry);
-                    if (remaining <= 0.0) {
-                        // Its own budget is truly gone: an expired
-                        // member sheds as DeadlineExceeded, never as
-                        // the batch's replicated error it may be
-                        // innocent of.
-                        if (merged_deadline)
-                            continue;
-                        r.code = ErrorCode::kDeadlineExceeded;
-                        r.message =
-                            "deadline expired before the batch "
-                            "failure could be bisected";
-                        r.sharedFate = false;
-                        r.outputs.clear();
-                        continue;
-                    }
+                if (has_deadline) {
+                    double remaining = secondsUntil(
+                        p.deadline, std::chrono::steady_clock::now());
+                    // The backoff sleep must fit in the remaining
+                    // budget with time left to actually run.
+                    if (remaining * 1e6 <= static_cast<double>(delay))
+                        break;
+                    double after_sleep =
+                        remaining - static_cast<double>(delay) / 1e6;
                     own.deadlineSeconds =
                         own.deadlineSeconds > 0.0
-                            ? std::min(own.deadlineSeconds, remaining)
-                            : remaining;
+                            ? std::min(own.deadlineSeconds, after_sleep)
+                            : after_sleep;
                     own_deadline_us =
-                        nowMicros() +
-                        static_cast<int64_t>(remaining * 1e6);
+                        nowMicros() + static_cast<int64_t>(remaining * 1e6);
                 }
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(delay));
                 {
                     std::lock_guard<std::mutex> lock(mu_);
-                    ++counts_.batchRetries;
-                    if (merged_deadline)
-                        ++counts_.deadlineRetries;
+                    ++counts_.transientRetries;
                 }
-                metric_batch_retries_->add();
-                if (merged_deadline)
-                    metric_deadline_retries_->add();
+                metric_transient_retries_->add();
                 worker.busyDeadlineUs.store(own_deadline_us,
                                             std::memory_order_relaxed);
-                results[i] = engine->tryRun(worker.ctx, live[i].inputs,
-                                            nullptr, own);
-                results[i].sharedFate = false;
-                // tryRun outputs alias the worker context's arena;
-                // promises need owning copies (runBatch clones its).
-                for (Tensor& t : results[i].outputs)
-                    t = t.clone();
-                if (!results[i].ok() &&
-                    breakerCharged(results[i].code)) {
-                    {
-                        std::lock_guard<std::mutex> lock(mu_);
-                        ++counts_.poisonIsolated;
-                    }
-                    metric_poison_isolated_->add();
-                }
+                result = runOwned(engine, worker.ctx, p.inputs, own);
+                if (result.ok() || !transientRetryable(result.code))
+                    break;
             }
         }
 
-        // Bounded transient retry (DESIGN.md §15): an individually
-        // earned transient failure (arena pressure that may clear
-        // after a trim, a one-off plan/cache-publish fault) gets up to
-        // maxAttempts solo re-runs under decorrelated-jitter backoff,
-        // deadline-aware so a retry never spends time the request no
-        // longer has. Replicated (sharedFate) errors are batch-level
-        // and never retried here.
-        if (retry_opts_.enabled()) {
-            for (size_t i = 0; i < live.size() && i < results.size();
-                 ++i) {
-                if (results[i].ok() || results[i].sharedFate ||
-                    !transientRetryable(results[i].code))
-                    continue;
-                RetryBackoff backoff(retry_opts_, live[i].seq + 1);
-                for (int attempt = 0;
-                     attempt < retry_opts_.maxAttempts; ++attempt) {
-                    const long long delay = backoff.nextDelayMicros();
-                    RunOptions own = live[i].runOptions;
-                    int64_t own_deadline_us = 0;
-                    if (live[i].deadline !=
-                        std::chrono::steady_clock::time_point::max()) {
-                        double remaining = secondsUntil(
-                            live[i].deadline,
-                            std::chrono::steady_clock::now());
-                        // The backoff sleep must fit in the remaining
-                        // budget with time left to actually run.
-                        if (remaining * 1e6 <=
-                            static_cast<double>(delay))
-                            break;
-                        double after_sleep =
-                            remaining -
-                            static_cast<double>(delay) / 1e6;
-                        own.deadlineSeconds =
-                            own.deadlineSeconds > 0.0
-                                ? std::min(own.deadlineSeconds,
-                                           after_sleep)
-                                : after_sleep;
-                        own_deadline_us =
-                            nowMicros() +
-                            static_cast<int64_t>(remaining * 1e6);
-                    }
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(delay));
-                    {
-                        std::lock_guard<std::mutex> lock(mu_);
-                        ++counts_.transientRetries;
-                    }
-                    metric_transient_retries_->add();
-                    worker.busyDeadlineUs.store(
-                        own_deadline_us, std::memory_order_relaxed);
-                    results[i] = engine->tryRun(
-                        worker.ctx, live[i].inputs, nullptr, own);
-                    results[i].sharedFate = false;
-                    for (Tensor& t : results[i].outputs)
-                        t = t.clone();
-                    if (results[i].ok() ||
-                        !transientRetryable(results[i].code))
-                        break;
-                }
-            }
-        }
-
-        // Report final member fates to the breaker scoreboard. Probes
-        // MUST report (success re-closes, charged failure re-opens);
-        // regular members charge consecutive-failure streaks that trip
-        // the breaker at the threshold.
+        // Report the final fate to the breaker scoreboard. Probes MUST
+        // report (success re-closes, charged failure re-opens); regular
+        // requests charge consecutive-failure streaks that trip the
+        // breaker at the threshold.
         if (scoreboard_.enabled()) {
-            for (size_t i = 0; i < live.size() && i < results.size();
-                 ++i) {
-                const uint64_t sig = live[i].signature;
-                const bool probe = live[i].breakerProbe;
-                if (results[i].ok()) {
-                    scoreboard_.onSuccess(sig, probe);
-                } else if (scoreboard_.onFailure(sig, results[i].code,
-                                                 probe)) {
-                    {
-                        std::lock_guard<std::mutex> lock(mu_);
-                        ++counts_.breakerTrips;
-                    }
-                    metric_breaker_trips_->add();
+            if (result.ok()) {
+                scoreboard_.onSuccess(p.signature, p.breakerProbe);
+            } else if (scoreboard_.onFailure(p.signature, result.code,
+                                             p.breakerProbe)) {
+                {
+                    std::lock_guard<std::mutex> lock(mu_);
+                    ++counts_.breakerTrips;
                 }
+                metric_breaker_trips_->add();
             }
         }
 
-        metric_batches_->add();
-        metric_batch_size_->observe(static_cast<double>(live.size()));
-        if (bstats.padRows > 0)
-            metric_pad_rows_->add(static_cast<uint64_t>(bstats.padRows));
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++counts_.batches;
-            if (bstats.padRows > 0)
-                counts_.padRows +=
-                    static_cast<uint64_t>(bstats.padRows);
-        }
-
-        // The arena mirror must be current BEFORE any future resolves:
-        // a caller that run()s synchronously and then reads
-        // residentArenaBytes() (the fleet's governor probe) must see
-        // the capacity this batch left behind.
+        // The arena mirror must be current BEFORE the future resolves:
+        // a caller that run()s synchronously and then reads health()
+        // must see the capacity this run left behind.
         worker.arenaBytes.store(worker.ctx.arena().capacity(),
                                 std::memory_order_relaxed);
 
         // Order matters for drain()'s guarantee: counters final, then
-        // the promises resolve, then inflight drops — so a waiter
-        // woken by inflight==0 sees every future ready and every count
-        // final. runBatch's outputs are owning copies already.
-        for (size_t i = 0; i < live.size(); ++i) {
-            RunResult result;
-            if (i < results.size()) {
-                result = std::move(results[i]);
-            } else {
-                result.code = ErrorCode::kInternal;
-                result.message = "batch result missing";
-                // Never reached the scoreboard loop: a probe must
-                // still release its half-open slot.
-                if (live[i].breakerProbe)
-                    scoreboard_.onProbeDropped(live[i].signature);
-            }
-            bool ok = result.ok();
-            error_counts_[codeIndex(result.code)].fetch_add(
-                1, std::memory_order_relaxed);
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                if (ok)
-                    ++counts_.completed;
-                else
-                    ++counts_.failed;
-                releaseEpochLocked(live[i].epoch);
-            }
-            if (ok)
-                metric_completed_->add();
-            // Executed-request hook (fleet EWMA feed): outside mu_,
-            // before the future resolves, so an observer that queries
-            // this server back cannot deadlock on the stats lock.
-            if (options_.completionObserver)
-                options_.completionObserver(live[i].signature, result);
-            live[i].promise.set_value(std::move(result));
-        }
+        // the promise resolves, then inflight drops — so a waiter woken
+        // by inflight==0 sees every future ready and every count final.
+        const bool ok = result.ok();
+        error_counts_[codeIndex(result.code)].fetch_add(
+            1, std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(mu_);
-            inflight_ -= live.size();
+            ++counts_.batches;
+            if (ok)
+                ++counts_.completed;
+            else
+                ++counts_.failed;
+            releaseEpochLocked(p.epoch);
         }
-        metric_inflight_->add(-static_cast<int64_t>(live.size()));
+        metric_batches_->add();
+        if (ok)
+            metric_completed_->add();
+        p.promise.set_value(std::move(result));
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            --inflight_;
+        }
+        metric_inflight_->add(-1);
         worker.busy.store(false, std::memory_order_relaxed);
         worker.busyDeadlineUs.store(0, std::memory_order_relaxed);
         worker.stuck.store(false, std::memory_order_relaxed);
@@ -915,18 +637,11 @@ Sod2Server::swapEngine(const Sod2Engine* next, const SwapOptions& opts)
         for (auto& w : workers_) {
             std::deque<Pending> items = w->queue.drainNow();
             for (Pending& p : items) {
-                if (p.epoch > old_epoch || p.engine == nullptr) {
+                if (p.epoch > old_epoch) {
                     if (w->queue.push(std::move(p)))
                         continue;
                     // Queue closed by a concurrent shutdown: fall
                     // through to the typed shed below.
-                }
-                if (p.maintenance) {
-                    // Maintenance never entered admission accounting;
-                    // just resolve it typed (trimArenas unblocks).
-                    failPending(p, ErrorCode::kShutdown,
-                                "maintenance superseded by shutdown");
-                    continue;
                 }
                 {
                     std::lock_guard<std::mutex> lock(mu_);
@@ -982,35 +697,8 @@ Sod2Server::shutdown(bool drain_pending)
         }
     } else {
         // Fail everything still queued with a typed Shutdown result.
-        for (auto& w : workers_) {
-            std::deque<Pending> dropped = w->queue.drainNow();
-            if (dropped.empty())
-                continue;
-            // Maintenance items (trimArenas) never entered admission
-            // accounting — releasing budget for them would underflow
-            // the counters; they only need their promise resolved.
-            size_t requests = 0;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                for (const Pending& p : dropped) {
-                    if (p.maintenance)
-                        continue;
-                    ++requests;
-                    queued_bytes_ -= p.bytes;
-                    releaseEpochLocked(p.epoch);
-                }
-                queued_count_ -= requests;
-                counts_.discarded += requests;
-            }
-            metric_queue_depth_->add(-static_cast<int64_t>(requests));
-            for (Pending& p : dropped) {
-                if (!p.maintenance)
-                    metric_shed_->add();
-                failPending(p, ErrorCode::kShutdown,
-                            "request discarded by server shutdown");
-            }
-            idle_cv_.notify_all();
-        }
+        for (auto& w : workers_)
+            discardQueued(w->queue.drainNow());
     }
 
     for (auto& w : workers_)
@@ -1033,33 +721,31 @@ Sod2Server::shutdown(bool drain_pending)
     // destroyed promise would surface as std::future_error (broken
     // promise) instead of a typed result. Workers are joined, so
     // whatever is left in any queue can only be resolved here.
-    for (auto& w : workers_) {
-        std::deque<Pending> leftovers = w->queue.drainNow();
-        if (leftovers.empty())
-            continue;
-        // Same maintenance partition as the non-draining sweep above.
-        size_t requests = 0;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (const Pending& p : leftovers) {
-                if (p.maintenance)
-                    continue;
-                ++requests;
-                queued_bytes_ -= p.bytes;
-                releaseEpochLocked(p.epoch);
-            }
-            queued_count_ -= requests;
-            counts_.discarded += requests;
+    for (auto& w : workers_)
+        discardQueued(w->queue.drainNow());
+}
+
+void
+Sod2Server::discardQueued(std::deque<Pending> items)
+{
+    if (items.empty())
+        return;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const Pending& p : items) {
+            queued_bytes_ -= p.bytes;
+            releaseEpochLocked(p.epoch);
         }
-        metric_queue_depth_->add(-static_cast<int64_t>(requests));
-        for (Pending& p : leftovers) {
-            if (!p.maintenance)
-                metric_shed_->add();
-            failPending(p, ErrorCode::kShutdown,
-                        "request discarded by server shutdown");
-        }
-        idle_cv_.notify_all();
+        queued_count_ -= items.size();
+        counts_.discarded += items.size();
     }
+    metric_queue_depth_->add(-static_cast<int64_t>(items.size()));
+    for (Pending& p : items) {
+        metric_shed_->add();
+        failPending(p, ErrorCode::kShutdown,
+                    "request discarded by server shutdown");
+    }
+    idle_cv_.notify_all();
 }
 
 ServerStats
@@ -1070,67 +756,6 @@ Sod2Server::stats() const
     s.queueDepth = queued_count_;
     s.inflight = inflight_;
     return s;
-}
-
-size_t
-Sod2Server::residentArenaBytes() const
-{
-    size_t total = 0;
-    for (const auto& w : workers_)
-        total += w->arenaBytes.load(std::memory_order_relaxed);
-    return total;
-}
-
-size_t
-Sod2Server::trimArenas(
-    const std::function<void(const RunContext&)>& after)
-{
-    // Snapshot the lifecycle under mu_; trimming takes the inline path
-    // whenever no worker thread could be running (paused or stopped),
-    // because a parked queue has no consumer to execute a maintenance
-    // item and a stopped one is closed to pushes.
-    bool inline_trim = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        inline_trim = !started_ || stopped_;
-    }
-    if (inline_trim) {
-        for (auto& w : workers_) {
-            w->ctx.trimArena();
-            w->arenaBytes.store(0, std::memory_order_relaxed);
-            if (after)
-                after(w->ctx);
-        }
-        return workers_.size();
-    }
-
-    // Running server: one maximum-priority maintenance item per
-    // worker, executed on the worker's own thread so the trim can
-    // never race an in-flight run on the pinned context. The epoch
-    // sentinel UINT64_MAX is outside every admission epoch, so the
-    // epoch ledger and hard-cutover re-push logic both pass it
-    // through untouched.
-    std::vector<std::future<RunResult>> done;
-    done.reserve(workers_.size());
-    size_t trimmed = 0;
-    for (auto& w : workers_) {
-        Pending p;
-        p.maintenance = [after](RunContext& ctx) {
-            ctx.trimArena();
-            if (after)
-                after(ctx);
-        };
-        p.priority = INT_MAX;
-        p.epoch = UINT64_MAX;
-        std::future<RunResult> f = p.promise.get_future();
-        if (!w->queue.push(std::move(p)))
-            continue;  // raced with shutdown; that worker keeps its arena
-        done.push_back(std::move(f));
-        ++trimmed;
-    }
-    for (auto& f : done)
-        f.wait();
-    return trimmed;
 }
 
 ServerHealth

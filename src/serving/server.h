@@ -35,7 +35,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -45,7 +44,6 @@
 
 #include "core/sod2_engine.h"
 #include "serving/affinity.h"
-#include "serving/batcher.h"
 #include "serving/request_queue.h"
 #include "serving/resilience.h"
 #include "support/metrics.h"
@@ -98,61 +96,15 @@ struct ServerOptions
      *  cooperative deadline in addition to any request deadline. */
     RunOptions defaultRunOptions;
     /**
-     * Largest request batch one worker coalesces into a single engine
-     * run (serving/batcher.h). 1 disables batching (every request runs
-     * alone, the pre-batching behavior). 0 -> SOD2_BATCH_MAX -> 8.
-     *
-     * Guardrail merge: batchmates may disagree on per-request options,
-     * and the one stacked run takes the earliest member deadline, the
-     * LOOSEST member arena budget (a member admitted with a tight
-     * arenaBudgetBytes runs under a batchmate's wider cap — or
-     * uncapped, when any member is uncapped — for that shared run),
-     * and the interpreter fallback only when every member opted in.
-     * When the merged (earliest) deadline expires mid-run, members
-     * whose own deadline still has time are re-run individually under
-     * their own guardrails instead of inheriting the straggler's
-     * DeadlineExceeded (counted in ServerStats::deadlineRetries).
-     */
-    int maxBatchSize = 0;
-    /**
-     * Straggler window in microseconds: a worker holding a non-full
-     * batch waits this long for compatible arrivals before running.
-     * 0 = batch only what is already queued (no added latency).
-     * Negative -> SOD2_BATCH_WAIT_US -> 0.
-     */
-    long long maxBatchWaitMicros = -1;
-    /**
-     * Pad-to-bucket batching: 1 groups requests by MVC-style batch-
-     * compatibility key (batch extent masked) and pads the stacked
-     * batch dim up to a power-of-two bucket; 0 keeps the exact-
-     * signature fast path only. Negative -> SOD2_BATCH_PAD -> off.
-     * Only takes effect when the compiled graph is stackable. Under
-     * pad mode, dispatch routes by the compat key (not the exact
-     * signature) so same-class requests share a worker queue.
-     */
-    int padBatches = -1;
-    /**
      * Construct with the workers parked (not yet spawned): requests
      * queue but nothing executes until start(). Lets tests fill queues
      * deterministically (QueueFull, in-queue expiry, priority order).
      */
     bool startPaused = false;
     /**
-     * Batch-failure bisection (DESIGN.md §15): when a coalesced run
-     * fails as a whole (a stacked run's replicated "one fate" error,
-     * the merged-earliest deadline, or a member denied its requested
-     * interpreter fallback by the conservative merge), re-run the
-     * members individually under their OWN guardrails so innocent
-     * batchmates succeed bit-exactly and the failure is charged only
-     * to the poison member(s). false restores the pre-bisection
-     * behavior (only the merged-deadline retry).
-     */
-    bool isolateBatchFailures = true;
-    /**
-     * Per-signature circuit breaker + quarantine tuning
-     * (serving/resilience.h). Negative fields defer to the
-     * SOD2_BREAKER_* env knobs; the resolved default threshold is 0,
-     * i.e. breakers (and suspect-signature quarantine) off.
+     * Per-signature circuit breaker tuning (serving/resilience.h).
+     * Negative fields defer to the SOD2_BREAKER_* env knobs; the
+     * resolved default threshold is 0, i.e. breakers off.
      */
     BreakerOptions breaker;
     /**
@@ -172,17 +124,6 @@ struct ServerOptions
     /** Grace past a run's effective deadline before the watchdog
      *  declares the worker stuck. */
     double watchdogGraceSeconds = 0.25;
-    /**
-     * Called once per resolved *executed* request, with the request's
-     * shape signature and its final RunResult, from the worker thread
-     * right before the future resolves (shed paths — QueueFull,
-     * in-queue expiry, shutdown discards — are not executions and are
-     * not observed). The fleet router hooks this to feed its
-     * observed-vs-predicted latency EWMA. Must be thread-safe and
-     * cheap; it runs on the serving hot path.
-     */
-    std::function<void(uint64_t signature, const RunResult& result)>
-        completionObserver;
 };
 
 /** Knobs of one blue/green engine swap (swapEngine). */
@@ -234,24 +175,11 @@ struct ServerStats
     uint64_t completed = 0;
     /** Executed but finished with a typed error (after any fallback). */
     uint64_t failed = 0;
-    /** Batch executions (one engine dispatch each; a solo request
-     *  counts as a batch of one). completed / batches ≈ mean batch. */
+    /** Executed requests: one per request handed to the engine
+     *  (in-queue expiry sheds are not), so batches == completed +
+     *  failed; a request's transient retries count once. perfbench
+     *  reports batches / completed as serving.batches_per_req. */
     uint64_t batches = 0;
-    /** Zero rows stacked to reach a pad bucket (pad waste, in batch
-     *  rows; only grows under padBatches). */
-    uint64_t padRows = 0;
-    /** Members re-run individually after a stacked run expired on the
-     *  merged (earliest batchmate) deadline while their own deadline
-     *  still had time — the batch sheds together, but a straggler's
-     *  expiry must not fail its batchmates. */
-    uint64_t deadlineRetries = 0;
-    /** Members re-run individually by batch-failure bisection after a
-     *  coalesced run failed as a whole (superset of deadlineRetries:
-     *  every bisection re-run counts here). */
-    uint64_t batchRetries = 0;
-    /** Bisected members whose failure survived the solo re-run — the
-     *  poison member(s) a batch failure was charged to. */
-    uint64_t poisonIsolated = 0;
     /** Bounded in-worker retries of transient failures (one per retry
      *  attempt, successful or not). */
     uint64_t transientRetries = 0;
@@ -274,17 +202,17 @@ struct WorkerHealth
 {
     size_t index = 0;
     size_t queueDepth = 0;
-    /** Executing a batch right now. */
+    /** Executing a request right now. */
     bool busy = false;
     /** Flagged by the watchdog: busy past its run deadline + grace. */
     bool stuck = false;
     /** Seconds since this worker last made observable progress
-     *  (dequeued work or finished a batch); 0 before first dispatch. */
+     *  (dequeued or finished a request); 0 before first dispatch. */
     double secondsSinceProgress = 0.0;
     /** Seconds past the current run's effective deadline (0 when idle,
      *  deadline-less, or not yet overdue). */
     double deadlineOverrunSeconds = 0.0;
-    /** This worker's arena capacity after its last batch (bytes). */
+    /** This worker's arena capacity after its last run (bytes). */
     size_t arenaBytes = 0;
 };
 
@@ -363,8 +291,8 @@ class Sod2Server
      * every request admitted after the switch runs on @p next, every
      * request admitted before it runs (or completes) on the old engine
      * — a request is never dropped or executed on a different engine
-     * than the one it was validated against, and batches never mix the
-     * two. Old-engine queue handling and drain behavior follow
+     * than the one it was validated against. Old-engine queue handling
+     * and drain behavior follow
      * @p opts; @p next must outlive the server (like the constructor
      * engine). Serialized against concurrent swaps; a no-op returning
      * 0 after shutdown. Returns the number of requests shed by a hard
@@ -383,8 +311,6 @@ class Sod2Server
 
     int workers() const { return static_cast<int>(workers_.size()); }
     AffinityMode affinity() const { return policy_.mode(); }
-    /** The resolved batching policy this server dispatches under. */
-    const BatchPolicy& batchPolicy() const { return batch_policy_; }
     /** The engine new admissions currently run on (changes across
      *  swapEngine; the reference is only stable until the next swap). */
     const Sod2Engine& engine() const;
@@ -392,30 +318,6 @@ class Sod2Server
     /** The worker @p signature routes to right now (under kShape this
      *  also pins the assignment, exactly like a dispatch would). */
     size_t workerFor(uint64_t signature);
-
-    /**
-     * Sum of every worker arena's capacity, in bytes, as of each
-     * worker's last completed batch (a lock-free mirror — a run in
-     * flight may have grown its arena already). The fleet governor's
-     * per-member residency signal.
-     */
-    size_t residentArenaBytes() const;
-
-    /**
-     * Drops every worker arena's backing buffer (capacity -> 0); the
-     * next run on each worker re-reserves exactly what its plan needs.
-     * On a running server this enqueues one highest-priority
-     * maintenance item per worker and blocks until each has executed
-     * on its own thread — never racing an in-flight run; on a paused
-     * or stopped server the arenas are trimmed inline. @p after, when
-     * set, runs on the worker thread right after each trim (the fleet
-     * governor reconciles its ledger there). Returns the number of
-     * worker arenas trimmed. Safe to call concurrently with serving;
-     * an admission-closed server still trims (trim is maintenance,
-     * not a request).
-     */
-    size_t trimArenas(
-        const std::function<void(const RunContext&)>& after = {});
 
   private:
     struct Worker
@@ -431,8 +333,8 @@ class Sod2Server
         std::atomic<bool> stuck{false};
         std::atomic<int64_t> busyDeadlineUs{0};
         std::atomic<int64_t> lastProgressUs{0};
-        /** Arena capacity after the last batch/trim on this worker
-         *  (relaxed mirror for residentArenaBytes()/health()). */
+        /** Arena capacity after the last run on this worker (relaxed
+         *  mirror for health()). */
         std::atomic<size_t> arenaBytes{0};
     };
 
@@ -444,8 +346,11 @@ class Sod2Server
      *  outcome count. Callable with or without mu_ held. */
     void failPending(Pending& p, ErrorCode code,
                      const std::string& message);
+    /** Fails every request in @p items with a typed Shutdown result and
+     *  releases its admission accounting (shutdown's queue sweeps). */
+    void discardQueued(std::deque<Pending> items);
     /** Drops one admitted request of @p epoch from the per-epoch live
-     *  count (requires mu_; no-op for untracked epochs). */
+     *  count (requires mu_). */
     void releaseEpochLocked(uint64_t epoch);
     /** Live (queued + in-flight) requests admitted under @p epoch
      *  (requires mu_). */
@@ -458,7 +363,6 @@ class Sod2Server
     ServerOptions options_;
     size_t queue_depth_cap_;
     AffinityPolicy policy_;
-    BatchPolicy batch_policy_;
     std::vector<std::unique_ptr<Worker>> workers_;
 
     /** Guards admission accounting (queued count/bytes), lifecycle
@@ -474,8 +378,8 @@ class Sod2Server
     size_t inflight_ = 0;
     uint64_t next_seq_ = 0;
     /** Admission epoch: bumped by every swapEngine. A request's epoch
-     *  identifies the engine it was validated against; batching never
-     *  crosses epochs. Guarded by mu_. */
+     *  identifies the engine it was validated against. Guarded by
+     *  mu_. */
     uint64_t engine_epoch_ = 0;
     /** Per-epoch count of admitted-but-unresolved requests; an epoch's
      *  entry disappears when its last request resolves (the swap-drain
@@ -489,7 +393,7 @@ class Sod2Server
     std::atomic<bool> swap_in_progress_{false};
     ServerStats counts_;
 
-    /** Per-signature circuit breaker + quarantine (DESIGN.md §15).
+    /** Per-signature circuit breaker (DESIGN.md §15).
      *  Lock order: mu_ / queue locks may be held when its methods are
      *  called, never the reverse. */
     SignatureScoreboard scoreboard_;
@@ -511,16 +415,11 @@ class Sod2Server
     Counter* metric_expired_;
     Counter* metric_completed_;
     Counter* metric_batches_;
-    Counter* metric_pad_rows_;
-    Counter* metric_deadline_retries_;
-    Counter* metric_batch_retries_;
-    Counter* metric_poison_isolated_;
     Counter* metric_transient_retries_;
     Counter* metric_circuit_shed_;
     Counter* metric_breaker_trips_;
     Counter* metric_breaker_probes_;
     Counter* metric_watchdog_stalls_;
-    Histogram* metric_batch_size_;
     Gauge* metric_queue_depth_;
     Gauge* metric_inflight_;
 };

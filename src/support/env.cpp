@@ -139,28 +139,6 @@ serverAffinity()
 }
 
 int
-batchMax()
-{
-    static const int value = readPositiveInt("SOD2_BATCH_MAX", 0);
-    return value;
-}
-
-long long
-batchWaitMicros()
-{
-    static const long long value =
-        readPositiveInt64("SOD2_BATCH_WAIT_US", 0);
-    return value;
-}
-
-bool
-batchPad()
-{
-    static const bool value = readFlag("SOD2_BATCH_PAD");
-    return value;
-}
-
-int
 breakerThreshold()
 {
     static const int value =
@@ -211,21 +189,6 @@ watchdogMillis()
 {
     static const long long value =
         readNonNegativeInt64("SOD2_WATCHDOG_MS", 100);
-    return value;
-}
-
-size_t
-fleetBudgetBytes()
-{
-    static const size_t value =
-        static_cast<size_t>(readPositiveInt64("SOD2_FLEET_BUDGET", 0));
-    return value;
-}
-
-const std::string&
-fleetRouting()
-{
-    static const std::string value = readString("SOD2_FLEET_ROUTING");
     return value;
 }
 

@@ -86,31 +86,6 @@ size_t serverQueueDepth();
 const std::string& serverAffinity();
 
 /**
- * SOD2_BATCH_MAX — largest request batch one Sod2Server worker
- * coalesces into a single engine run, when ServerOptions leaves
- * maxBatchSize at 0. Returns 0 when unset (the server then picks its
- * built-in default). Cached at first query, once per process.
- */
-int batchMax();
-
-/**
- * SOD2_BATCH_WAIT_US — microseconds a worker with a non-full batch
- * waits for compatible stragglers before running, when ServerOptions
- * leaves maxBatchWaitMicros negative. Returns 0 when unset (no
- * waiting: batch whatever is queued right now). Cached at first
- * query, once per process.
- */
-long long batchWaitMicros();
-
-/**
- * SOD2_BATCH_PAD=1 — group batches by MVC shape class instead of the
- * exact signature, padding the stacked batch dim up to the bucket
- * boundary (serving/batcher.h), when ServerOptions leaves padBatches
- * negative. Cached at first query, once per process.
- */
-bool batchPad();
-
-/**
  * SOD2_BREAKER_THRESHOLD — consecutive typed failures of one shape
  * signature that trip its circuit breaker (DESIGN.md §15), when
  * ServerOptions leaves BreakerOptions::threshold negative. Returns 0
@@ -183,24 +158,6 @@ bool snapshotEnabled();
  * once per process.
  */
 const std::string& snapshotDir();
-
-/**
- * SOD2_FLEET_BUDGET — global arena budget, in bytes, shared by every
- * member of a Sod2Fleet whose FleetOptions leaves
- * globalArenaBudgetBytes at 0 (DESIGN.md §16). The MemoryGovernor
- * denies any arena grow that would push the fleet-wide committed total
- * past this. 0 (unset) means unlimited. Cached at first query, once
- * per process.
- */
-size_t fleetBudgetBytes();
-
-/**
- * SOD2_FLEET_ROUTING — routing mode of a Sod2Fleet whose FleetOptions
- * leaves routing empty: "cost" (default; cost-model-predicted latency
- * with EWMA correction and queue-depth tie-breaking) or "round_robin".
- * Empty when unset. Cached at first query, once per process.
- */
-const std::string& fleetRouting();
 
 /**
  * SOD2_BENCH_SAMPLES — per-point sample count of the bench harness's

@@ -70,8 +70,7 @@ const std::vector<std::string>&
 knownSites()
 {
     static const std::vector<std::string> sites = {
-        kArenaAlloc, kPlanInstantiate, kKernelDispatch, kCacheInsert,
-        kFleetRoute};
+        kArenaAlloc, kPlanInstantiate, kKernelDispatch, kCacheInsert};
     return sites;
 }
 

@@ -54,10 +54,6 @@ inline constexpr const char* kPlanInstantiate = "plan.instantiate";
 inline constexpr const char* kKernelDispatch = "kernel.dispatch";
 /** PlanCache insert — publishing an instantiated plan to the LRU. */
 inline constexpr const char* kCacheInsert = "cache.insert";
-/** Sod2Fleet routing — the router's chosen member is dead/faulted;
- *  firing it must fail over to the next-best member, typed, without
- *  dropping the request (DESIGN.md §16). */
-inline constexpr const char* kFleetRoute = "fleet.route";
 
 /** All valid site names (arm() rejects anything else). */
 const std::vector<std::string>& knownSites();

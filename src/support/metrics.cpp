@@ -54,15 +54,6 @@ Histogram::defaultLatencyBoundsUs()
     return bounds;
 }
 
-std::vector<double>
-Histogram::defaultBatchSizeBounds()
-{
-    std::vector<double> bounds;
-    for (double b = 1.0; b <= 256.0; b *= 2.0)
-        bounds.push_back(b);
-    return bounds;
-}
-
 void
 Histogram::observe(double value)
 {

@@ -147,10 +147,6 @@ class Histogram
     /** Log-spaced 1-2-5 decades, 1 us .. 10 s (values in us). */
     static std::vector<double> defaultLatencyBoundsUs();
 
-    /** Power-of-two buckets 1..256 — matches the serving batcher's
-     *  pad-to-bucket row boundaries ("server.batch_size"). */
-    static std::vector<double> defaultBatchSizeBounds();
-
     void observe(double value);
 
     uint64_t

@@ -248,6 +248,45 @@ TEST(Engine, SimulatedGpuProfileReportsCostModelTime)
     (void)out;
 }
 
+TEST(Engine, PredictRunMicrosPositiveAndMonotone)
+{
+    // CostMeter::predictRunMicros is what bench/fig13_portability's
+    // CPU/GPU crossover table reads.
+    TestModel m = TestModel::cnn();
+    Sod2Options cpu_opts;
+    cpu_opts.rdp = m.rdp;
+    cpu_opts.device = DeviceProfile::mobileCpu();
+    cpu_opts.device.simulated = true;
+    Sod2Options gpu_opts;
+    gpu_opts.rdp = m.rdp;
+    gpu_opts.device = DeviceProfile::mobileGpu();
+    Sod2Engine cpu(&m.graph, cpu_opts);
+    Sod2Engine gpu(&m.graph, gpu_opts);
+
+    Rng rng(1);
+    std::vector<Tensor> small = {
+        Tensor::randomUniform(Shape({1, 3, 8, 8}), rng)};
+    std::vector<Tensor> large = {
+        Tensor::randomUniform(Shape({8, 3, 96, 96}), rng)};
+    std::vector<int64_t> vsmall, vlarge;
+    cpu.signatureFor(small, &vsmall);
+    cpu.signatureFor(large, &vlarge);
+
+    double cpu_small = CostMeter::predictRunMicros(cpu, vsmall);
+    double cpu_large = CostMeter::predictRunMicros(cpu, vlarge);
+    double gpu_small = CostMeter::predictRunMicros(gpu, vsmall);
+    double gpu_large = CostMeter::predictRunMicros(gpu, vlarge);
+
+    EXPECT_GT(cpu_small, 0.0);
+    EXPECT_GT(gpu_small, 0.0);
+    EXPECT_GT(cpu_large, cpu_small);  // more work costs more
+    EXPECT_GT(gpu_large, gpu_small);
+    // The portability crossover: launch overhead dominates small
+    // inputs (CPU wins), flops dominate large ones (GPU wins).
+    EXPECT_LT(cpu_small, gpu_small);
+    EXPECT_GT(cpu_large, gpu_large);
+}
+
 
 TEST(Engine, ConstantFoldingPrecomputesConstantSubgraphs)
 {

@@ -127,11 +127,10 @@ TEST_F(FaultInjectionTest, DefaultErrorCodeIsInternal)
 TEST_F(FaultInjectionTest, CatalogListsEverySite)
 {
     const std::vector<std::string>& sites = fault::knownSites();
-    ASSERT_EQ(sites.size(), 5u);
+    ASSERT_EQ(sites.size(), 4u);
     for (const char* site :
          {fault::kArenaAlloc, fault::kPlanInstantiate,
-          fault::kKernelDispatch, fault::kCacheInsert,
-          fault::kFleetRoute})
+          fault::kKernelDispatch, fault::kCacheInsert})
         EXPECT_NE(std::find(sites.begin(), sites.end(), site),
                   sites.end())
             << site;
@@ -360,10 +359,6 @@ class FaultSiteTest : public ::testing::TestWithParam<std::string>
 TEST_P(FaultSiteTest, TypedErrorThenBitExactContextReuse)
 {
     const std::string& site = GetParam();
-    if (site == fault::kFleetRoute)
-        GTEST_SKIP() << "fleet-router site: fires in Sod2Fleet::submit, "
-                        "never inside an engine run (fleet_test covers "
-                        "its failover semantics)";
     TestModel m = TestModel::cnn();
     Sod2Options opts;
     opts.rdp = m.rdp;
@@ -401,10 +396,6 @@ TEST_P(FaultSiteTest, TypedErrorThenBitExactContextReuse)
 TEST_P(FaultSiteTest, FallbackServesFaultedRequest)
 {
     const std::string& site = GetParam();
-    if (site == fault::kFleetRoute)
-        GTEST_SKIP() << "fleet-router site: an engine run never passes "
-                        "through it, so there is nothing to fall back "
-                        "from";
     TestModel m = TestModel::cnn();
     Sod2Options opts;
     opts.rdp = m.rdp;
@@ -462,9 +453,6 @@ class FaultStormTest : public ::testing::TestWithParam<std::string>
 TEST_P(FaultStormTest, OneTypedFailureZeroCorruptionUnderEightThreads)
 {
     const std::string& site = GetParam();
-    if (site == fault::kFleetRoute)
-        GTEST_SKIP() << "fleet-router site: engine runs never consume "
-                        "it (fleet_test storms the router instead)";
     TestModel m = TestModel::cnn();
     Sod2Options opts;
     opts.rdp = m.rdp;
@@ -581,17 +569,20 @@ TEST_F(FaultInjectionTest, ArenaViewBeyondCapacityIsTyped)
     }
 }
 
-// --- tryRun conveniences ----------------------------------------------
+// --- tryRun vs the default-context run() ------------------------------
 
 TEST_F(FaultInjectionTest, DefaultContextTryRunMatchesRun)
 {
+    // tryRun in a context of its own serves what the context-less run()
+    // computes in the engine's default context.
     TestModel m = TestModel::cnn();
     Sod2Options opts;
     opts.rdp = m.rdp;
     Sod2Engine engine(&m.graph, opts);
 
     std::vector<Tensor> in = {cnnInput(1, 8, 8, 8)};
-    RunResult r = engine.tryRun(in);
+    RunContext ctx;
+    RunResult r = engine.tryRun(ctx, in);
     ASSERT_TRUE(r.ok()) << r.message;
     EXPECT_TRUE(r.message.empty());
     EXPECT_FALSE(r.fellBack);

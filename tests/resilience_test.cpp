@@ -2,12 +2,9 @@
  *  failure classification, the per-signature circuit-breaker state
  *  machine (closed -> open -> half-open -> closed, exact trip threshold
  *  under 8-thread races, probe-slot accounting), decorrelated-jitter
- *  retry backoff, suspect-signature batch quarantine, batch-failure
- *  bisection bit-exactness (innocent batchmates byte-identical to solo
- *  runs, failure charged only to the poison member), bounded
- *  deadline-aware transient retries, the health()/watchdog surface,
- *  and the every-future-resolves-typed contract across non-draining
- *  shutdown and hard-cutover engine swaps.
+ *  retry backoff, bounded deadline-aware transient retries, the
+ *  health()/watchdog surface, and the every-future-resolves-typed
+ *  contract across non-draining shutdown and hard-cutover engine swaps.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +19,6 @@
 
 #include "core/sod2_engine.h"
 #include "graph/builder.h"
-#include "serving/batcher.h"
-#include "serving/request_queue.h"
 #include "serving/resilience.h"
 #include "serving/server.h"
 #include "support/fault_injection.h"
@@ -33,14 +28,11 @@
 namespace sod2 {
 namespace {
 
-using serving::BatchPolicy;
 using serving::BreakerHealth;
 using serving::BreakerOptions;
 using serving::BreakerState;
 using serving::FailureClass;
-using serving::Pending;
 using serving::Request;
-using serving::RequestQueue;
 using serving::RetryBackoff;
 using serving::RetryOptions;
 using serving::ServerHealth;
@@ -49,22 +41,21 @@ using serving::ServerStats;
 using serving::SignatureScoreboard;
 using serving::Sod2Server;
 using serving::SwapOptions;
-using serving::collectBatch;
 
 using Admission = SignatureScoreboard::Admission;
 using Clock = SignatureScoreboard::Clock;
 
-/** Same dynamic CNN as batching_test: symbolic n/h/w leading batch
- *  dim, conv -> relu -> pool -> gap -> reshape -> matmul -> gelu. */
-struct StackableModel
+/** Small dynamic CNN (symbolic n/h/w): conv -> relu -> pool -> gap ->
+ *  reshape -> matmul -> gelu. */
+struct TestModel
 {
     Graph graph;
     RdpOptions rdp;
 
-    static StackableModel
+    static TestModel
     cnn()
     {
-        StackableModel m;
+        TestModel m;
         GraphBuilder b(&m.graph);
         Rng rng(41);
         ValueId x = b.input("x");
@@ -90,21 +81,9 @@ cnnInput(int64_t n, int64_t h, int64_t w, uint64_t seed)
     return Tensor::randomUniform(Shape({n, 3, h, w}), rng);
 }
 
-std::vector<std::vector<uint8_t>>
-snapshot(const std::vector<Tensor>& outputs)
-{
-    std::vector<std::vector<uint8_t>> bytes;
-    bytes.reserve(outputs.size());
-    for (const Tensor& t : outputs) {
-        const uint8_t* p = static_cast<const uint8_t*>(t.raw());
-        bytes.emplace_back(p, p + t.byteSize());
-    }
-    return bytes;
-}
-
 struct CnnFixture
 {
-    StackableModel model = StackableModel::cnn();
+    TestModel model = TestModel::cnn();
     Sod2Engine engine;
 
     CnnFixture() : engine(&model.graph, options()) {}
@@ -112,7 +91,7 @@ struct CnnFixture
     static Sod2Options
     options()
     {
-        StackableModel m = StackableModel::cnn();
+        TestModel m = TestModel::cnn();
         Sod2Options opts;
         opts.rdp = m.rdp;
         return opts;
@@ -125,6 +104,17 @@ class ResilienceTest : public ::testing::Test
   protected:
     void TearDown() override { fault::disarm(); }
 };
+
+/** True when @p sb's snapshot() holds a row for @p signature (the
+ *  signature has an uncleared charged failure). */
+bool
+hasRow(const SignatureScoreboard& sb, uint64_t signature)
+{
+    for (const BreakerHealth& row : sb.snapshot())
+        if (row.signature == signature)
+            return true;
+    return false;
+}
 
 /** Breaker tuning used by most scoreboard tests: explicit everywhere
  *  so the env defaults (breakers off) cannot mask a regression. */
@@ -289,7 +279,7 @@ TEST(Breaker, DisabledScoreboardAdmitsEverything)
     EXPECT_FALSE(sb.enabled());
     EXPECT_EQ(sb.admit(0xA), Admission::kAdmit);
     EXPECT_FALSE(sb.onFailure(0xA, ErrorCode::kInternal, false));
-    EXPECT_FALSE(sb.suspect(0xA));
+    EXPECT_FALSE(hasRow(sb, 0xA));
     EXPECT_EQ(sb.admit(0xA), Admission::kAdmit);
     EXPECT_TRUE(sb.snapshot().empty());
 }
@@ -300,8 +290,8 @@ TEST(Breaker, TripsAtExactThreshold)
     const Clock::time_point t0 = Clock::now();
     EXPECT_FALSE(sb.onFailure(0xA, ErrorCode::kInternal, false, t0));
     EXPECT_FALSE(sb.onFailure(0xA, ErrorCode::kInternal, false, t0));
-    EXPECT_EQ(sb.admit(0xA, t0), Admission::kAdmit);  // suspect, open? no
-    EXPECT_TRUE(sb.suspect(0xA));
+    EXPECT_EQ(sb.admit(0xA, t0), Admission::kAdmit);  // has a row, not open
+    EXPECT_TRUE(hasRow(sb, 0xA));
     // Exactly the threshold-th consecutive charged failure trips.
     EXPECT_TRUE(sb.onFailure(0xA, ErrorCode::kInternal, false, t0));
     EXPECT_EQ(sb.trips(), 1u);
@@ -314,14 +304,13 @@ TEST(Breaker, TripsAtExactThreshold)
     EXPECT_EQ(rows[0].state, BreakerState::kOpen);
     EXPECT_EQ(rows[0].consecutiveFailures, 3);
     EXPECT_EQ(rows[0].trips, 1u);
-    EXPECT_TRUE(rows[0].suspect);
 
     // A success between failures resets the streak: 2 + success + 2
     // never reaches a threshold of 3.
     EXPECT_FALSE(sb.onFailure(0xB, ErrorCode::kInternal, false, t0));
     EXPECT_FALSE(sb.onFailure(0xB, ErrorCode::kInternal, false, t0));
     sb.onSuccess(0xB, false, t0);
-    EXPECT_FALSE(sb.suspect(0xB));
+    EXPECT_FALSE(hasRow(sb, 0xB));
     EXPECT_FALSE(sb.onFailure(0xB, ErrorCode::kInternal, false, t0));
     EXPECT_FALSE(sb.onFailure(0xB, ErrorCode::kInternal, false, t0));
     EXPECT_EQ(sb.admit(0xB, t0), Admission::kAdmit);
@@ -344,9 +333,9 @@ TEST(Breaker, OpenShedsUntilCooldownThenAdmitsOneProbe)
     EXPECT_EQ(sb.probes(), 1u);
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(151)), Admission::kShed);
 
-    // Probe succeeds: fully healed, row erased, quarantine over.
+    // Probe succeeds: fully healed, row erased.
     sb.onSuccess(0xA, /*probe=*/true, t0 + milliseconds(160));
-    EXPECT_FALSE(sb.suspect(0xA));
+    EXPECT_FALSE(hasRow(sb, 0xA));
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(161)), Admission::kAdmit);
     EXPECT_TRUE(sb.snapshot().empty());
 }
@@ -377,15 +366,15 @@ TEST(Breaker, ReclosingTakesProbesToCloseConsecutiveSuccesses)
 
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(120)), Admission::kProbe);
     sb.onSuccess(0xA, true, t0 + milliseconds(125));
-    // One success of two: still half-open (and still quarantined).
-    EXPECT_TRUE(sb.suspect(0xA));
+    // One success of two: still half-open, row kept.
+    EXPECT_TRUE(hasRow(sb, 0xA));
     std::vector<BreakerHealth> rows = sb.snapshot();
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].state, BreakerState::kHalfOpen);
 
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(130)), Admission::kProbe);
     sb.onSuccess(0xA, true, t0 + milliseconds(135));
-    EXPECT_FALSE(sb.suspect(0xA));
+    EXPECT_FALSE(hasRow(sb, 0xA));
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(140)), Admission::kAdmit);
 }
 
@@ -411,17 +400,17 @@ TEST(Breaker, UnchargedCodesNeitherTripNorHeal)
     EXPECT_FALSE(
         sb.onFailure(0xA, ErrorCode::kDeadlineExceeded, false, t0));
     EXPECT_FALSE(sb.onFailure(0xA, ErrorCode::kQueueFull, false, t0));
-    EXPECT_FALSE(sb.suspect(0xA));
+    EXPECT_FALSE(hasRow(sb, 0xA));
 
-    // On a suspect signature they neither extend the streak nor clear
-    // it.
+    // On a signature with a row they neither extend the streak nor
+    // clear it.
     EXPECT_FALSE(sb.onFailure(0xA, ErrorCode::kInternal, false, t0));
     EXPECT_FALSE(
         sb.onFailure(0xA, ErrorCode::kDeadlineExceeded, false, t0));
     std::vector<BreakerHealth> rows = sb.snapshot();
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].consecutiveFailures, 1);
-    EXPECT_TRUE(sb.suspect(0xA));
+    EXPECT_TRUE(hasRow(sb, 0xA));
 }
 
 TEST(Breaker, ExactlyOneTripUnderConcurrentFailures)
@@ -455,7 +444,7 @@ TEST(Breaker, ResetDropsStateButKeepsCumulativeCounters)
     EXPECT_TRUE(sb.onFailure(0xA, ErrorCode::kInternal, false));
     EXPECT_EQ(sb.admit(0xA), Admission::kShed);
     sb.reset();  // blue/green swap: the new engine starts clean
-    EXPECT_FALSE(sb.suspect(0xA));
+    EXPECT_FALSE(hasRow(sb, 0xA));
     EXPECT_EQ(sb.admit(0xA), Admission::kAdmit);
     EXPECT_EQ(sb.trips(), 1u);
     EXPECT_EQ(sb.shedCount(), 1u);
@@ -476,123 +465,6 @@ TEST(Watchdog, StuckPredicate)
     EXPECT_TRUE(workerLooksStuck(true, 100, 201, 100));
 }
 
-// --- batch quarantine (component level) -------------------------------
-
-Pending
-makePending(uint64_t signature, uint64_t seq, bool probe = false)
-{
-    Pending p;
-    p.signature = signature;
-    p.compatKey = signature;
-    p.seq = seq;
-    p.breakerProbe = probe;
-    return p;
-}
-
-TEST(Quarantine, SuspectSignaturesAndProbesNeverCoalesce)
-{
-    // The exact predicate the server hands collectBatch: no suspect
-    // signatures, no half-open probes.
-    SignatureScoreboard sb(breaker(10));
-    EXPECT_FALSE(sb.onFailure(0xBAD, ErrorCode::kInternal, false));
-    ASSERT_TRUE(sb.suspect(0xBAD));
-    auto admit = [&](const Pending& p) {
-        return !p.breakerProbe && !sb.suspect(p.signature);
-    };
-
-    RequestQueue q;
-    ASSERT_TRUE(q.push(makePending(0xC, 1)));
-    ASSERT_TRUE(q.push(makePending(0xBAD, 2)));        // suspect
-    ASSERT_TRUE(q.push(makePending(0xC, 3)));
-    ASSERT_TRUE(q.push(makePending(0xC, 4, /*probe=*/true)));
-    ASSERT_TRUE(q.push(makePending(0xC, 5)));
-
-    BatchPolicy policy;
-    policy.maxBatchSize = 8;
-    std::vector<Pending> batch;
-    batch.push_back(makePending(0xC, 0));
-    collectBatch(q, policy, &batch, admit);
-
-    // The healthy 0xC members coalesce; the suspect signature and the
-    // probe stay queued (they must run solo), order preserved.
-    ASSERT_EQ(batch.size(), 4u);
-    EXPECT_EQ(batch[1].seq, 1u);
-    EXPECT_EQ(batch[2].seq, 3u);
-    EXPECT_EQ(batch[3].seq, 5u);
-    EXPECT_EQ(q.depth(), 2u);
-    Pending out;
-    ASSERT_TRUE(q.pop(&out));
-    EXPECT_EQ(out.seq, 2u);
-    ASSERT_TRUE(q.pop(&out));
-    EXPECT_EQ(out.seq, 4u);
-}
-
-// --- bisection: innocent batchmates are bit-exact ---------------------
-
-TEST_F(ResilienceTest, BisectionIsolatesPoisonMemberBitExact)
-{
-    // A padded batch of [1-row, 1-row, 8-row] requests under a default
-    // arena budget chosen between the 1-row and 8-row solo needs: the
-    // merged stacked run (16 padded rows) exhausts the budget for
-    // everyone, bisection re-runs each member under its own budget,
-    // the small members succeed byte-identical to solo runs, and the
-    // failure is charged only to the 8-row poison member.
-    CnnFixture f;
-    RunContext probe;
-    RunStats small_stats, large_stats;
-    std::vector<Tensor> small1 = {cnnInput(1, 16, 16, 11)};
-    std::vector<Tensor> small2 = {cnnInput(1, 16, 16, 12)};
-    std::vector<Tensor> large = {cnnInput(8, 16, 16, 13)};
-    ASSERT_TRUE(f.engine.tryRun(probe, small1, &small_stats).ok());
-    ASSERT_TRUE(f.engine.tryRun(probe, large, &large_stats).ok());
-    ASSERT_LT(small_stats.arenaBytes, large_stats.arenaBytes);
-    const size_t budget =
-        (small_stats.arenaBytes + large_stats.arenaBytes) / 2;
-
-    ServerOptions opts;
-    opts.workers = 1;
-    opts.maxBatchSize = 16;
-    opts.padBatches = 1;
-    opts.startPaused = true;
-    opts.defaultRunOptions.arenaBudgetBytes = budget;
-    Sod2Server server(&f.engine, opts);
-
-    Request r1, r2, r3;
-    r1.inputs = small1;
-    r2.inputs = small2;
-    r3.inputs = large;
-    std::future<RunResult> f1 = server.submit(std::move(r1));
-    std::future<RunResult> f2 = server.submit(std::move(r2));
-    std::future<RunResult> f3 = server.submit(std::move(r3));
-    server.start();
-    server.drain();
-
-    RunResult a = f1.get(), b = f2.get(), c = f3.get();
-    ASSERT_TRUE(a.ok()) << a.message;
-    ASSERT_TRUE(b.ok()) << b.message;
-    EXPECT_EQ(c.code, ErrorCode::kArenaExhausted);
-
-    // Bit-exactness: the bisected survivors match solo reference runs
-    // under the same budget, byte for byte.
-    RunContext ref;
-    RunOptions ref_opts;
-    ref_opts.arenaBudgetBytes = budget;
-    RunResult ra = f.engine.tryRun(ref, small1, nullptr, ref_opts);
-    ASSERT_TRUE(ra.ok()) << ra.message;
-    EXPECT_EQ(snapshot(a.outputs), snapshot(ra.outputs));
-    RunResult rb = f.engine.tryRun(ref, small2, nullptr, ref_opts);
-    ASSERT_TRUE(rb.ok()) << rb.message;
-    EXPECT_EQ(snapshot(b.outputs), snapshot(rb.outputs));
-
-    ServerStats stats = server.stats();
-    EXPECT_EQ(stats.batches, 1u);
-    EXPECT_EQ(stats.batchRetries, 3u);
-    EXPECT_EQ(stats.poisonIsolated, 1u);
-    EXPECT_EQ(stats.completed, 2u);
-    EXPECT_EQ(stats.failed, 1u);
-    EXPECT_EQ(stats.deadlineRetries, 0u);
-}
-
 // --- circuit breaker at the server level ------------------------------
 
 TEST_F(ResilienceTest, CircuitOpensAndShedsTypedWhileOthersServe)
@@ -600,7 +472,6 @@ TEST_F(ResilienceTest, CircuitOpensAndShedsTypedWhileOthersServe)
     CnnFixture f;
     ServerOptions opts;
     opts.workers = 1;
-    opts.maxBatchSize = 1;
     opts.breaker = breaker(2, /*cooldown_ms=*/60000);
     Sod2Server server(&f.engine, opts);
 
@@ -636,7 +507,6 @@ TEST_F(ResilienceTest, CircuitOpensAndShedsTypedWhileOthersServe)
     ServerHealth health = server.health();
     ASSERT_EQ(health.breakers.size(), 1u);
     EXPECT_EQ(health.breakers[0].state, BreakerState::kOpen);
-    EXPECT_TRUE(health.breakers[0].suspect);
     EXPECT_GE(health.errorCounts[static_cast<int>(
                   ErrorCode::kCircuitOpen)],
               1u);
@@ -649,7 +519,6 @@ TEST_F(ResilienceTest, CircuitRecoversViaHalfOpenProbe)
     CnnFixture f;
     ServerOptions opts;
     opts.workers = 1;
-    opts.maxBatchSize = 1;
     opts.breaker = breaker(1, /*cooldown_ms=*/50);
     Sod2Server server(&f.engine, opts);
 
@@ -676,71 +545,6 @@ TEST_F(ResilienceTest, CircuitRecoversViaHalfOpenProbe)
     EXPECT_TRUE(server.health().breakers.empty());
 }
 
-TEST_F(ResilienceTest, SuspectSignatureServesSoloUntilHealthy)
-{
-    CnnFixture f;
-    ServerOptions opts;
-    opts.workers = 1;
-    opts.maxBatchSize = 4;
-    opts.startPaused = true;
-    // Threshold far above the failure count: quarantine must kick in
-    // from the FIRST uncleared failure, long before the breaker trips.
-    opts.breaker = breaker(100, /*cooldown_ms=*/60000);
-    Sod2Server server(&f.engine, opts);
-
-    std::vector<Tensor> healthy = {cnnInput(1, 20, 20, 5)};
-    ASSERT_TRUE(server.warmup(healthy));
-    fault::armEvery(fault::kPlanInstantiate, 1);
-
-    // Wave 1 (queued while paused): four poison requests coalesce into
-    // one stacked batch, the batch fails as a whole, bisection re-runs
-    // each solo and every solo run fails too — the signature is now
-    // suspect with four charged failures.
-    auto poison = [&](uint64_t seed) {
-        Request r;
-        r.inputs = {cnnInput(1, 16, 16, seed)};
-        return r;
-    };
-    std::vector<std::future<RunResult>> wave1;
-    for (uint64_t i = 0; i < 4; ++i)
-        wave1.push_back(server.submit(poison(30 + i)));
-    server.start();
-    server.drain();
-    for (std::future<RunResult>& fu : wave1)
-        EXPECT_EQ(fu.get().code, ErrorCode::kInternal);
-    ServerStats stats = server.stats();
-    EXPECT_EQ(stats.batches, 1u);
-    EXPECT_EQ(stats.batchRetries, 4u);
-    EXPECT_EQ(stats.poisonIsolated, 4u);
-
-    // Wave 2: the suspect signature is quarantined from coalescing —
-    // whatever the arrival timing, each request dispatches solo, so
-    // the batch count grows by exactly four.
-    std::vector<std::future<RunResult>> wave2;
-    for (uint64_t i = 0; i < 4; ++i)
-        wave2.push_back(server.submit(poison(40 + i)));
-    server.drain();
-    for (std::future<RunResult>& fu : wave2)
-        EXPECT_EQ(fu.get().code, ErrorCode::kInternal);
-    EXPECT_EQ(server.stats().batches, 5u);
-
-    // Healthy traffic is untouched throughout.
-    Request h;
-    h.inputs = healthy;
-    EXPECT_TRUE(server.run(std::move(h)).ok());
-
-    ServerHealth health = server.health();
-    ASSERT_EQ(health.breakers.size(), 1u);
-    EXPECT_EQ(health.breakers[0].state, BreakerState::kClosed);
-    EXPECT_EQ(health.breakers[0].consecutiveFailures, 8);
-    EXPECT_TRUE(health.breakers[0].suspect);
-
-    // One success ends the quarantine.
-    fault::disarm();
-    EXPECT_TRUE(server.run(poison(50)).ok());
-    EXPECT_TRUE(server.health().breakers.empty());
-}
-
 // --- bounded transient retries ----------------------------------------
 
 TEST_F(ResilienceTest, TransientRetryHealsOneShotFault)
@@ -748,7 +552,6 @@ TEST_F(ResilienceTest, TransientRetryHealsOneShotFault)
     CnnFixture f;
     ServerOptions opts;
     opts.workers = 1;
-    opts.maxBatchSize = 1;
     opts.retry.maxAttempts = 2;
     opts.retry.baseMicros = 100;
     opts.retry.capMicros = 500;
@@ -776,7 +579,6 @@ TEST_F(ResilienceTest, TransientRetryNeverSpendsTimeTheRequestLacks)
     CnnFixture f;
     ServerOptions opts;
     opts.workers = 1;
-    opts.maxBatchSize = 1;
     // Backoff delay (200ms) far exceeds the request deadline (50ms):
     // the retry loop must bail before sleeping, not burn the budget.
     opts.retry.maxAttempts = 3;

@@ -1,9 +1,10 @@
 /** Tests for the serving scheduler (src/serving): admission control and
  *  typed load shedding, deadline-aware dispatch (in-queue expiry vs
- *  mid-run cooperative expiry), shape-affinity routing and its warm
- *  last-plan-memo payoff, graceful drain/shutdown semantics, and
- *  bit-exact equivalence between served and directly-run results under
- *  a multi-threaded mixed-signature storm. */
+ *  mid-run cooperative expiry, admission bytes given back on expiry),
+ *  shape-affinity routing and its warm last-plan-memo payoff, graceful
+ *  drain/shutdown semantics, and bit-exact equivalence between served
+ *  and directly-run results: every zoo model through one worker, and a
+ *  multi-threaded mixed-signature storm. */
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,13 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/sod2_engine.h"
 #include "graph/builder.h"
+#include "models/model_zoo.h"
 #include "serving/affinity.h"
 #include "serving/request_queue.h"
 #include "serving/server.h"
@@ -233,6 +236,39 @@ TEST(Server, ResultsOutliveWorkerReuse)
         ASSERT_TRUE(server.submit(std::move(next)).get().ok());
     }
     EXPECT_EQ(snapshot(held.outputs), before);
+
+    // The same clone-and-resolve path on every zoo model: the first
+    // min-size result is held across two more requests on the one
+    // worker, and all three match runs in fresh contexts byte for byte.
+    Rng rng(13);
+    for (const std::string& name : allModelNames()) {
+        ModelSpec spec = buildModel(name, rng);
+        Sod2Options eopts;
+        eopts.rdp = spec.rdp;
+        Sod2Engine engine(spec.graph.get(), eopts);
+
+        Rng sample_rng(29);
+        std::vector<std::vector<Tensor>> items;
+        std::vector<std::vector<std::vector<uint8_t>>> expect;
+        for (int i = 0; i < 3; ++i) {
+            items.push_back(spec.sample(sample_rng, spec.minSize));
+            RunContext fresh;
+            expect.push_back(snapshot(engine.run(fresh, items.back())));
+        }
+
+        Sod2Server zoo_server(&engine, opts);
+        std::vector<RunResult> served;
+        for (const std::vector<Tensor>& item : items) {
+            Request req;
+            req.inputs = item;
+            served.push_back(zoo_server.submit(std::move(req)).get());
+            ASSERT_TRUE(served.back().ok())
+                << name << ": " << served.back().message;
+        }
+        for (size_t i = 0; i < served.size(); ++i)
+            EXPECT_EQ(snapshot(served[i].outputs), expect[i])
+                << name << " request " << i;
+    }
 }
 
 // --- admission control ------------------------------------------------
@@ -326,6 +362,55 @@ TEST(Deadline, ExpiredInQueueShedsTypedWithoutExecuting)
     ServerStats s = server.stats();
     EXPECT_EQ(s.expired, 1u);
     EXPECT_EQ(s.completed, 0u);
+}
+
+TEST(Server, ExpiryShedReleasesAdmissionBytes)
+{
+    ServingFixture f;
+    Tensor probe = cnnInput(1, 16, 16, 80);
+    const size_t request_bytes = probe.byteSize();
+
+    ServerOptions opts;
+    opts.workers = 1;
+    opts.queueBytesBudget = 2 * request_bytes;  // exactly two requests
+    opts.startPaused = true;
+    Sod2Server server(&f.engine, opts);
+
+    // Fill the budget with requests whose deadline dies in the queue.
+    std::vector<std::future<RunResult>> doomed;
+    for (int i = 0; i < 2; ++i) {
+        Request req;
+        req.inputs = {cnnInput(1, 16, 16, 81 + i)};
+        req.deadlineSeconds = 1e-4;
+        doomed.push_back(server.submit(std::move(req)));
+    }
+    // Budget exhausted: a third request sheds QueueFull.
+    {
+        Request req;
+        req.inputs = {cnnInput(1, 16, 16, 83)};
+        EXPECT_EQ(server.run(std::move(req)).code, ErrorCode::kQueueFull);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    server.start();
+    server.drain();
+    for (auto& fut : doomed)
+        EXPECT_EQ(fut.get().code, ErrorCode::kDeadlineExceeded);
+
+    // The expiry sheds never executed — but their bytes MUST be back:
+    // two fresh requests fit the budget again.
+    std::vector<std::future<RunResult>> fresh;
+    for (int i = 0; i < 2; ++i) {
+        Request req;
+        req.inputs = {cnnInput(1, 16, 16, 85 + i)};
+        fresh.push_back(server.submit(std::move(req)));
+    }
+    for (auto& fut : fresh) {
+        RunResult r = fut.get();
+        EXPECT_TRUE(r.ok()) << r.message;  // admitted, not QueueFull
+    }
+    ServerStats s = server.stats();
+    EXPECT_EQ(s.expired, 2u);
+    EXPECT_EQ(s.completed, 2u);
 }
 
 TEST(Deadline, MidRunExpirySurfacesCooperativeEngineError)
@@ -476,15 +561,11 @@ TEST(Affinity, ShapeAffinityBeatsRoundRobinOnContextHits)
     // each to one worker, so nearly every run reuses the worker's
     // last-plan memo; round-robin interleaves A and B on both workers
     // and never gets a memo hit. Each server gets its own engine so
-    // the plan-cache counters are independent. Batching is pinned off:
-    // the coalescer would reorder same-signature requests back-to-back
-    // and hand round-robin memo hits, hiding the routing effect this
-    // test isolates (batching has its own suite, batching_test.cpp).
+    // the plan-cache counters are independent.
     auto runStream = [](AffinityMode mode) {
         ServingFixture f;
         ServerOptions opts;
         opts.workers = 2;
-        opts.maxBatchSize = 1;
         opts.affinity = mode;
         Sod2Server server(&f.engine, opts);
         std::vector<std::future<RunResult>> futures;
