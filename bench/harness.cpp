@@ -7,7 +7,6 @@
 
 #include "support/env.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/string_util.h"
 
 namespace sod2 {
@@ -78,9 +77,8 @@ sweep(InferenceEngine& engine, const ModelSpec& spec, int samples,
         engine.run(spec.sample(warm, size_hint), &stats);
     }
     double total_s = 0, total_mem = 0;
-    // Local (non-registry) histogram: one sweep's latency distribution,
-    // not the process-wide aggregate.
-    Histogram latency_us(Histogram::defaultLatencyBoundsUs());
+    std::vector<double> latency;
+    latency.reserve(static_cast<size_t>(samples));
     for (int i = 0; i < samples; ++i) {
         Rng rng(seed + 1 + i);  // identical stream for every engine
         auto inputs = spec.sample(rng, size_hint);
@@ -98,13 +96,14 @@ sweep(InferenceEngine& engine, const ModelSpec& spec, int samples,
         result.maxMemory = std::max(result.maxMemory, mem);
         total_s += s;
         total_mem += static_cast<double>(mem);
-        latency_us.observe(s * 1e6);
+        latency.push_back(s);
     }
     result.avgSeconds = total_s / samples;
     result.avgMemory = total_mem / samples;
-    result.p50Seconds = latency_us.percentile(50.0) * 1e-6;
-    result.p95Seconds = latency_us.percentile(95.0) * 1e-6;
-    result.p99Seconds = latency_us.percentile(99.0) * 1e-6;
+    SampleStats order(std::move(latency));
+    result.p50Seconds = order.percentile(0.50);
+    result.p95Seconds = order.percentile(0.95);
+    result.p99Seconds = order.percentile(0.99);
     return result;
 }
 

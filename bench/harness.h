@@ -50,8 +50,8 @@ std::unique_ptr<InferenceEngine> makeSod2(const ModelSpec& spec,
 struct SweepResult
 {
     double minSeconds = 0, maxSeconds = 0, avgSeconds = 0;
-    /** Latency percentiles (seconds), estimated from a fixed-bucket
-     *  histogram (support/metrics.h) over the timed samples. */
+    /** Exact nearest-rank latency percentiles (seconds) over the timed
+     *  samples (SampleStats). */
     double p50Seconds = 0, p95Seconds = 0, p99Seconds = 0;
     size_t minMemory = 0, maxMemory = 0;
     double avgMemory = 0;

@@ -46,6 +46,11 @@ StreamResult
 runStream(Sod2Engine& engine, const std::vector<Tensor>& inputs, int runs)
 {
     StreamResult r;
+    // This stream's share of the engine's cumulative cache counters
+    // (the cache-off engine has no cache and reports zeros).
+    const PlanCache* cache = engine.planCache();
+    const PlanCache::Counters before =
+        cache ? cache->counters() : PlanCache::Counters{};
     double total_s = 0, steady_plan_s = 0;
     RunStats stats;
     std::vector<Tensor> outs;
@@ -59,9 +64,12 @@ runStream(Sod2Engine& engine, const std::vector<Tensor>& inputs, int runs)
     }
     r.amortizedSeconds = total_s / runs;
     r.steadyPlanSeconds = runs > 1 ? steady_plan_s / (runs - 1) : 0;
-    r.hits = stats.planCacheHits;
-    r.misses = stats.planCacheMisses;
-    r.evictions = stats.planCacheEvictions;
+    if (cache) {
+        const PlanCache::Counters after = cache->counters();
+        r.hits = after.hits - before.hits;
+        r.misses = after.misses - before.misses;
+        r.evictions = after.evictions - before.evictions;
+    }
     for (const Tensor& t : outs) {
         const uint8_t* p = static_cast<const uint8_t*>(t.raw());
         r.outputs.emplace_back(p, p + t.byteSize());

@@ -50,8 +50,9 @@ runDevice(const char* title, const DeviceProfile& device)
               strFormat("%.2fx", geoMean(avg["TVM-N"]) / sod2), "",
               "1.00x", ""});
 
-    // Tail-latency view of the SoD2 column (histogram-estimated; the
-    // paper reports averages only, this is the serving-oriented cut).
+    // Tail-latency view of the SoD2 column (exact nearest-rank order
+    // statistics; the paper reports averages only, this is the
+    // serving-oriented cut).
     printHeader(strFormat("%s — SoD2 latency percentiles", title),
                 {"Model", "p50", "p95", "p99", "avg"});
     for (const auto& row : sod2_pct_rows)

@@ -12,14 +12,6 @@ namespace sod2 {
 PlanCache::PlanCache(size_t capacity) : capacity_(capacity)
 {
     SOD2_CHECK_GT(capacity, 0u) << "plan cache capacity must be positive";
-    // Resolve the process-wide metric mirrors once; lookups take the
-    // registry mutex, increments later are relaxed atomics.
-    MetricsRegistry& metrics = MetricsRegistry::instance();
-    metric_hits_ = &metrics.counter("plan_cache.hits");
-    metric_misses_ = &metrics.counter("plan_cache.misses");
-    metric_evictions_ = &metrics.counter("plan_cache.evictions");
-    metric_coalesced_ = &metrics.counter("plan_cache.coalesced");
-    metric_context_hits_ = &metrics.counter("plan_cache.context_hits");
 }
 
 std::vector<PlanCache::EntryIter>::iterator
@@ -91,7 +83,6 @@ PlanCache::insertLocked(uint64_t hash, std::vector<int64_t> values,
         removeFromIndexLocked(entries_.back());
         entries_.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
-        metric_evictions_->add();
     }
 }
 
@@ -126,7 +117,6 @@ PlanCache::findOrInstantiate(uint64_t hash,
         std::unique_lock<std::mutex> lock(mu_);
         if (auto plan = lookupLocked(hash, values)) {
             hits_.fetch_add(1, std::memory_order_relaxed);
-            metric_hits_->add();
             return plan;
         }
         auto& flights = inflight_[hash];
@@ -137,10 +127,8 @@ PlanCache::findOrInstantiate(uint64_t hash,
         if (fit != flights.end()) {
             flight = *fit;  // join the in-flight instantiation
             coalesced_.fetch_add(1, std::memory_order_relaxed);
-            metric_coalesced_->add();
         } else {
             misses_.fetch_add(1, std::memory_order_relaxed);
-            metric_misses_->add();
             flight = std::make_shared<Flight>();
             flight->values = values;
             flights.push_back(flight);
@@ -216,11 +204,9 @@ PlanCache::find(uint64_t hash, const std::vector<int64_t>& values)
     std::lock_guard<std::mutex> lock(mu_);
     if (auto plan = lookupLocked(hash, values)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        metric_hits_->add();
         return plan;
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    metric_misses_->add();
     return nullptr;
 }
 

@@ -20,7 +20,7 @@
  * plan construction: when N threads miss the same signature at once,
  * exactly one runs the (relatively expensive) instantiation while the
  * others block on it and share the result — the stampede-suppression
- * count is surfaced as coalesced(). Entries are immutable and
+ * count is surfaced as Counters::coalesced. Entries are immutable and
  * shared_ptr-held, so a run keeps its plan alive even if the entry is
  * evicted before the run finishes.
  */
@@ -39,7 +39,6 @@
 #include "memory/lifetime.h"
 #include "memory/planners.h"
 #include "rdp/rdp_analysis.h"
-#include "support/metrics.h"
 
 namespace sod2 {
 
@@ -127,8 +126,6 @@ class PlanCache
     {
         hits_.fetch_add(1, std::memory_order_relaxed);
         context_hits_.fetch_add(1, std::memory_order_relaxed);
-        metric_hits_->add();
-        metric_context_hits_->add();
     }
 
     size_t size() const;
@@ -144,18 +141,21 @@ class PlanCache
     residentSignatures(size_t max) const;
 
     /**
-     * One mutually consistent view of all four cumulative counters.
-     * Every increment happens under the cache mutex, so taking it here
-     * guarantees cross-counter invariants hold in the snapshot (e.g.
-     * hits + misses + coalesced == lookups started so far) — unlike
-     * reading the individual atomic accessors back-to-back, which can
-     * interleave with a concurrent lookup.
+     * The cache's cumulative counters since construction, as one
+     * mutually consistent view. Every shared-lookup increment happens
+     * under the cache mutex, so taking it here guarantees
+     * cross-counter invariants hold in the snapshot (e.g. hits -
+     * contextHits + misses + coalesced == shared lookups started so
+     * far).
      */
     struct Counters
     {
         size_t hits = 0;
         size_t misses = 0;
         size_t evictions = 0;
+        /** Lookups that joined another thread's in-flight
+         *  instantiation instead of duplicating it (suppressed cache
+         *  stampedes). */
         size_t coalesced = 0;
         /** Subset of hits served by a RunContext's last-plan memo
          *  without touching the shared cache (see noteContextHit;
@@ -165,31 +165,6 @@ class PlanCache
         size_t contextHits = 0;
     };
     Counters counters() const;
-
-    /** Cumulative counters since construction (atomic snapshots). */
-    size_t hits() const
-    {
-        return hits_.load(std::memory_order_relaxed);
-    }
-    size_t misses() const
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
-    size_t evictions() const
-    {
-        return evictions_.load(std::memory_order_relaxed);
-    }
-    /** Lookups that joined another thread's in-flight instantiation
-     *  instead of duplicating it (suppressed cache stampedes). */
-    size_t coalesced() const
-    {
-        return coalesced_.load(std::memory_order_relaxed);
-    }
-    /** Hits served by a context's last-plan memo (subset of hits()). */
-    size_t contextHits() const
-    {
-        return context_hits_.load(std::memory_order_relaxed);
-    }
 
   private:
     struct Entry
@@ -237,13 +212,6 @@ class PlanCache
     std::atomic<size_t> evictions_{0};
     std::atomic<size_t> coalesced_{0};
     std::atomic<size_t> context_hits_{0};
-
-    /** Process-wide metric mirrors ("plan_cache.*", support/metrics). */
-    Counter* metric_hits_;
-    Counter* metric_misses_;
-    Counter* metric_evictions_;
-    Counter* metric_coalesced_;
-    Counter* metric_context_hits_;
 };
 
 }  // namespace sod2

@@ -40,19 +40,9 @@ Sod2Engine::initCommon()
     // never race their lock-free lookups.
     OpRegistry::instance().freeze();
     // Observability: honor SOD2_TRACE / SOD2_TRACE_FILE once per
-    // process, and resolve the engine's metric handles so the run path
-    // never touches the registry mutex.
+    // process.
     Trace::initFromEnv();
     fault::initFromEnv();
-    {
-        MetricsRegistry& metrics = MetricsRegistry::instance();
-        metric_runs_ = &metrics.counter("engine.runs");
-        metric_run_us_ = &metrics.histogram("engine.run_us");
-        metric_plan_us_ = &metrics.histogram("engine.plan_us");
-        metric_failed_runs_ = &metrics.counter("engine.failed_runs");
-        metric_fallback_runs_ =
-            &metrics.counter("engine.fallback_runs");
-    }
 }
 
 Sod2Engine::Sod2Engine(const Graph* graph, Sod2Options options)
@@ -787,12 +777,9 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
         meter.chargeAllocTouch(static_cast<double>(
             fallback_pool->poolBytes() - pool_before));
 
-    double total_seconds = 0.0;
-    if (stats || tb)
-        total_seconds = simulated ? meter.seconds() + plan_seconds
-                                  : secondsSince(t_start);
-
     if (stats) {
+        stats->seconds = simulated ? meter.seconds() + plan_seconds
+                                   : secondsSince(t_start);
         stats->arenaBytes = arena_bytes;
         stats->dynamicBytes = heap_scope.peak;
         stats->peakMemoryBytes = arena_bytes + heap_scope.peak +
@@ -801,27 +788,9 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
                                       : 0);
         stats->planSeconds = plan_seconds;
         stats->planCacheHit = cache_hit;
-        if (plan_cache_) {
-            // One consistent snapshot: all four counters observed under
-            // the cache lock, so their invariants hold even while other
-            // threads are mid-lookup.
-            PlanCache::Counters c = plan_cache_->counters();
-            stats->planCacheHits = c.hits;
-            stats->planCacheMisses = c.misses;
-            stats->planCacheEvictions = c.evictions;
-            stats->planCacheCoalesced = c.coalesced;
-        } else {
-            // Cache disabled: report zeros even into a reused RunStats
-            // that a cached engine previously filled.
-            stats->planCacheHits = 0;
-            stats->planCacheMisses = 0;
-            stats->planCacheEvictions = 0;
-            stats->planCacheCoalesced = 0;
-        }
         stats->executedGroups = executed;
         stats->subgraphSeconds = std::move(sg_seconds);
         stats->groupSeconds = std::move(group_seconds);
-        stats->seconds = total_seconds;
     }
 
     if (tb) {
@@ -830,9 +799,6 @@ Sod2Engine::run(RunContext& ctx, const std::vector<Tensor>& inputs,
             "\"arena_bytes\":%zu,\"plan_us\":%.3f",
             executed, cache_hit ? "true" : "false", arena_bytes,
             plan_seconds * 1e6));
-        metric_runs_->add();
-        metric_run_us_->observe(total_seconds * 1e6);
-        metric_plan_us_->observe(plan_seconds * 1e6);
     }
     return results;
 }
@@ -860,9 +826,6 @@ Sod2Engine::tryRun(RunContext& ctx, const std::vector<Tensor>& inputs,
         result.code = ErrorCode::kInternal;
         result.message = e.what();
     }
-    // Cold path: failures are counted unconditionally (tracing only
-    // gates the per-event records, not the counters).
-    metric_failed_runs_->add();
     if (Trace::enabled())
         ctx.trace_.addInstant(
             "run.failed", "engine",
@@ -903,7 +866,6 @@ Sod2Engine::tryRun(RunContext& ctx, const std::vector<Tensor>& inputs,
         // Fallback latency is wall time from tryRun entry: the failed
         // optimized attempt is part of what serving this request cost.
         result.serviceSeconds = secondsSince(t_start);
-        metric_fallback_runs_->add();
         if (Trace::enabled())
             ctx.trace_.addInstant("run.fallback", "engine", "");
     } catch (const Error& e) {

@@ -43,7 +43,6 @@
 #include "planning/execution_plan.h"
 #include "rdp/rdp_analysis.h"
 #include "runtime/arena.h"
-#include "support/metrics.h"
 #include "support/status.h"
 
 namespace sod2 {
@@ -120,10 +119,9 @@ struct RunOptions
      * code (ArenaExhausted, KernelFailure, BindFailure, Internal),
      * re-run the request through the unfused reference interpreter —
      * heap-allocated, plan-free — and serve its result instead.
-     * Counted in the "engine.fallback_runs" metric and reported via
-     * RunResult::fellBack. InvalidInput and DeadlineExceeded never
-     * fall back (the interpreter would fail the same way / the budget
-     * is already gone).
+     * Reported via RunResult::fellBack. InvalidInput and
+     * DeadlineExceeded never fall back (the interpreter would fail the
+     * same way / the budget is already gone).
      */
     bool fallbackOnError = false;
 };
@@ -170,19 +168,9 @@ struct RunStats
      *  hit this collapses to bind + one hash lookup — microseconds. */
     double planSeconds = 0.0;
     /** True when this run reused a cached (or in-flight) plan instance
-     *  instead of instantiating one itself. */
+     *  instead of instantiating one itself. The engine-wide cumulative
+     *  counts are PlanCache::counters(). */
     bool planCacheHit = false;
-    /** Cumulative plan-cache counters (since engine construction).
-     *  Taken as one consistent snapshot under the cache lock, so
-     *  hits + misses + coalesced equals the lookups completed at
-     *  snapshot time even when other threads are mid-run. All four are
-     *  0 when the cache is disabled (including on reused RunStats). */
-    size_t planCacheHits = 0;
-    size_t planCacheMisses = 0;
-    size_t planCacheEvictions = 0;
-    /** Lookups that joined another thread's in-flight instantiation
-     *  (suppressed cache stampedes). */
-    size_t planCacheCoalesced = 0;
     int executedGroups = 0;
     /** Wall/simulated seconds attributed to each planned sub-graph. */
     std::vector<double> subgraphSeconds;
@@ -353,7 +341,7 @@ class Sod2Engine
 
   private:
     /** Shared constructor head: graph validation, registry freeze,
-     *  trace/fault/metrics initialization. */
+     *  trace and fault-injection initialization. */
     void initCommon();
     /**
      * Shared constructor tail: everything derivable from (graph_,
@@ -419,19 +407,6 @@ class Sod2Engine
     std::unique_ptr<PlanCache> plan_cache_;
     /** Shared all-unplanned offset table for runs without a DMP plan. */
     std::shared_ptr<const std::vector<size_t>> unplanned_offsets_;
-
-    /** Process-wide metric handles ("engine.*", support/metrics.h),
-     *  resolved once at compile time; observed only when tracing is
-     *  enabled so the disabled hot path stays branch-only. */
-    Counter* metric_runs_ = nullptr;
-    Histogram* metric_run_us_ = nullptr;
-    Histogram* metric_plan_us_ = nullptr;
-    /** Failure-path counters ("engine.failed_runs" = typed failures
-     *  surfaced by tryRun, "engine.fallback_runs" = requests served by
-     *  the interpreter fallback). Cold path: always incremented,
-     *  tracing on or off. */
-    Counter* metric_failed_runs_ = nullptr;
-    Counter* metric_fallback_runs_ = nullptr;
 
     /** Compile-time constant-folded values (seeded into every context's
      *  env template). */

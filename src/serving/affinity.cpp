@@ -1,6 +1,5 @@
 #include "serving/affinity.h"
 
-#include "support/env.h"
 #include "support/logging.h"
 
 namespace sod2 {
@@ -14,33 +13,8 @@ affinityModeName(AffinityMode mode)
             return "shape";
         case AffinityMode::kRoundRobin:
             return "round_robin";
-        case AffinityMode::kLeastLoaded:
-            return "least_loaded";
     }
     return "unknown";
-}
-
-AffinityMode
-parseAffinityMode(const std::string& name)
-{
-    if (name == "shape")
-        return AffinityMode::kShape;
-    if (name == "round_robin")
-        return AffinityMode::kRoundRobin;
-    if (name == "least_loaded")
-        return AffinityMode::kLeastLoaded;
-    SOD2_THROW_CODE(ErrorCode::kInvalidInput)
-        << "unknown affinity mode \"" << name
-        << "\" (expected shape, round_robin, or least_loaded)";
-}
-
-AffinityMode
-defaultAffinityMode()
-{
-    const std::string& name = env::serverAffinity();
-    if (name.empty())
-        return AffinityMode::kShape;
-    return parseAffinityMode(name);
 }
 
 AffinityPolicy::AffinityPolicy(AffinityMode mode, size_t workers)
@@ -50,28 +24,18 @@ AffinityPolicy::AffinityPolicy(AffinityMode mode, size_t workers)
 }
 
 size_t
-AffinityPolicy::pick(uint64_t signature, const std::vector<size_t>& loads)
+AffinityPolicy::pick(uint64_t signature)
 {
+    std::lock_guard<std::mutex> lock(mu_);
     switch (mode_) {
         case AffinityMode::kShape: {
-            std::lock_guard<std::mutex> lock(mu_);
             auto inserted = assignment_.emplace(signature, next_assign_);
             if (inserted.second)
                 next_assign_ = (next_assign_ + 1) % workers_;
             return inserted.first->second;
         }
-        case AffinityMode::kRoundRobin: {
-            std::lock_guard<std::mutex> lock(mu_);
+        case AffinityMode::kRoundRobin:
             return rr_++ % workers_;
-        }
-        case AffinityMode::kLeastLoaded: {
-            SOD2_CHECK_EQ(loads.size(), workers_);
-            size_t best = 0;
-            for (size_t i = 1; i < loads.size(); ++i)
-                if (loads[i] < loads[best])
-                    best = i;
-            return best;
-        }
     }
     SOD2_THROW << "unreachable affinity mode";
 }

@@ -11,16 +11,14 @@
  * one from its RunContext's last-plan memo — no shared-cache lock, no
  * LRU traffic (core/run_context.h). Shape-affinity dispatch therefore
  * routes every request of one signature to one worker, keeping that
- * worker's memo hot; round-robin and least-loaded are the baselines it
- * is measured against (bench/serving_load).
+ * worker's memo hot; round-robin is the baseline it is measured
+ * against (bench/serving_load).
  */
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace sod2 {
 namespace serving {
@@ -34,20 +32,10 @@ enum class AffinityMode {
     kShape,
     /** Strict rotation, signature-blind (the fairness baseline). */
     kRoundRobin,
-    /** Pick the worker with the smallest queued+inflight load at
-     *  dispatch time (ties to the lowest index). */
-    kLeastLoaded,
 };
 
-/** Stable lowercase name ("shape", "round_robin", "least_loaded"). */
+/** Stable lowercase name ("shape", "round_robin"). */
 const char* affinityModeName(AffinityMode mode);
-
-/** Parses an SOD2_SERVER_AFFINITY value; throws a typed InvalidInput
- *  Error on anything but the three mode names. */
-AffinityMode parseAffinityMode(const std::string& name);
-
-/** Mode from SOD2_SERVER_AFFINITY, or kShape when unset. */
-AffinityMode defaultAffinityMode();
 
 /**
  * One dispatch decision per admitted request. Thread-safe: submit can
@@ -63,17 +51,15 @@ class AffinityPolicy
 
     /**
      * Worker index for a request with shape signature @p signature.
-     * @p loads is each worker's current queued+inflight count; it is
-     * consulted only by kLeastLoaded (pass empty otherwise). kShape
-     * assignment is sticky: the first call for a signature fixes its
-     * worker for the policy's lifetime.
+     * kShape assignment is sticky: the first call for a signature
+     * fixes its worker for the policy's lifetime.
      */
-    size_t pick(uint64_t signature, const std::vector<size_t>& loads);
+    size_t pick(uint64_t signature);
 
   private:
     AffinityMode mode_;
     size_t workers_;
-    /** Guards assignment_/next_assign_ (kShape bookkeeping). */
+    /** Guards assignment_/next_assign_ (kShape) and rr_ (kRoundRobin). */
     std::mutex mu_;
     /** signature -> worker, first-seen rotation (kShape). Keeping the
      *  map instead of hashing signature % workers guarantees distinct

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/env.h"
-
 namespace sod2 {
 namespace serving {
 
@@ -74,45 +72,11 @@ transientRetryable(ErrorCode code)
     return failureClassOf(code) == FailureClass::kTransient;
 }
 
-// --- options ----------------------------------------------------------
-
-BreakerOptions
-BreakerOptions::resolved() const
-{
-    BreakerOptions r = *this;
-    if (r.threshold < 0)
-        r.threshold = env::breakerThreshold();
-    if (r.cooldownMillis < 0)
-        r.cooldownMillis = env::breakerCooldownMillis();
-    if (r.probesToClose < 0)
-        r.probesToClose = env::breakerProbes();
-    if (r.probesToClose < 1)
-        r.probesToClose = 1;
-    return r;
-}
-
-RetryOptions
-RetryOptions::resolved() const
-{
-    RetryOptions r = *this;
-    if (r.maxAttempts < 0)
-        r.maxAttempts = env::retryMax();
-    if (r.baseMicros < 0)
-        r.baseMicros = env::retryBaseMicros();
-    if (r.capMicros < 0)
-        r.capMicros = env::retryCapMicros();
-    if (r.baseMicros < 1)
-        r.baseMicros = 1;
-    if (r.capMicros < r.baseMicros)
-        r.capMicros = r.baseMicros;
-    return r;
-}
-
 // --- decorrelated-jitter backoff -------------------------------------
 
 RetryBackoff::RetryBackoff(const RetryOptions& opts, uint64_t seed)
     : base_(std::max<long long>(1, opts.baseMicros)),
-      cap_(std::max(opts.capMicros, opts.baseMicros)),
+      cap_(std::max(opts.capMicros, base_)),
       prev_(base_),
       rng_(seed)
 {
@@ -144,14 +108,15 @@ breakerStateName(BreakerState s)
 }
 
 SignatureScoreboard::SignatureScoreboard(const BreakerOptions& opts)
-    : opts_(opts.resolved())
 {
+    configure(opts);
 }
 
 void
 SignatureScoreboard::configure(const BreakerOptions& opts)
 {
-    opts_ = opts.resolved();
+    opts_ = opts;
+    opts_.probesToClose = std::max(1, opts_.probesToClose);
 }
 
 SignatureScoreboard::Admission
@@ -173,14 +138,12 @@ SignatureScoreboard::admit(uint64_t signature, Clock::time_point now)
             std::chrono::milliseconds(opts_.cooldownMillis);
         if (now - e.openedAt < cooldown) {
             ++e.shed;
-            ++shed_;
             return Admission::kShed;
         }
         // Cooldown elapsed: this request becomes the half-open probe.
         e.state = BreakerState::kHalfOpen;
         e.probeSuccesses = 0;
         e.probeInFlight = true;
-        ++probes_;
         return Admission::kProbe;
       }
       case BreakerState::kHalfOpen:
@@ -188,11 +151,9 @@ SignatureScoreboard::admit(uint64_t signature, Clock::time_point now)
             // One probe at a time: concurrent arrivals shed so a still
             // broken plan is re-tested by exactly one request.
             ++e.shed;
-            ++shed_;
             return Admission::kShed;
         }
         e.probeInFlight = true;
-        ++probes_;
         return Admission::kProbe;
     }
     return Admission::kAdmit;
@@ -253,7 +214,6 @@ SignatureScoreboard::onFailure(uint64_t signature, ErrorCode code,
         e.openedAt = now;
         e.consecutive = std::max(e.consecutive, opts_.threshold);
         ++e.trips;
-        ++trips_;
         return true;
     }
     if (e.state == BreakerState::kClosed) {
@@ -261,7 +221,6 @@ SignatureScoreboard::onFailure(uint64_t signature, ErrorCode code,
             e.state = BreakerState::kOpen;
             e.openedAt = now;
             ++e.trips;
-            ++trips_;
             return true;
         }
         return false;
@@ -315,27 +274,6 @@ SignatureScoreboard::reset()
 {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
-}
-
-uint64_t
-SignatureScoreboard::trips() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return trips_;
-}
-
-uint64_t
-SignatureScoreboard::shedCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return shed_;
-}
-
-uint64_t
-SignatureScoreboard::probes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return probes_;
 }
 
 // --- watchdog predicate ----------------------------------------------

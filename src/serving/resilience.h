@@ -59,39 +59,36 @@ bool breakerCharged(ErrorCode code);
  *  class only: arena-budget-after-trim, cache/plan-publish faults). */
 bool transientRetryable(ErrorCode code);
 
-// --- options (negative fields defer to SOD2_* env knobs) -------------
+// --- options ----------------------------------------------------------
 
-/** Per-signature circuit-breaker tuning. Fields left negative resolve
- *  from SOD2_BREAKER_THRESHOLD / _COOLDOWN_MS / _PROBES; a resolved
- *  threshold of 0 disables breakers entirely. */
+/** Per-signature circuit-breaker tuning. The default threshold of 0
+ *  disables breakers entirely. */
 struct BreakerOptions {
     /** Consecutive charged failures that trip the breaker (0 = off). */
-    int threshold = -1;
+    int threshold = 0;
     /** Milliseconds an open breaker sheds before allowing a probe. */
-    long long cooldownMillis = -1;
-    /** Consecutive successful probes that re-close the breaker. */
-    int probesToClose = -1;
+    long long cooldownMillis = 250;
+    /** Consecutive successful probes that re-close the breaker
+     *  (SignatureScoreboard::configure clamps it to at least 1). */
+    int probesToClose = 1;
 
-    /** Copy with every negative field replaced by its env default. */
-    BreakerOptions resolved() const;
-    /** True when breakers are on (call on a resolved() copy). */
+    /** True when breakers are on. */
     bool enabled() const { return threshold > 0; }
 };
 
-/** Bounded-retry tuning for transient failures. Fields left negative
- *  resolve from SOD2_RETRY_MAX / _BASE_US / _CAP_US; a resolved
+/** Bounded-retry tuning for transient failures. The default
  *  maxAttempts of 0 disables retries. */
 struct RetryOptions {
     /** Per-request retry budget beyond the first attempt (0 = off). */
-    int maxAttempts = -1;
-    /** Base backoff delay in microseconds. */
-    long long baseMicros = -1;
-    /** Cap on any single backoff delay in microseconds. */
-    long long capMicros = -1;
+    int maxAttempts = 0;
+    /** Base backoff delay in microseconds (RetryBackoff clamps it to
+     *  at least 1). */
+    long long baseMicros = 200;
+    /** Cap on any single backoff delay in microseconds (RetryBackoff
+     *  raises it to the base when below). */
+    long long capMicros = 20000;
 
-    /** Copy with every negative field replaced by its env default. */
-    RetryOptions resolved() const;
-    /** True when retries are on (call on a resolved() copy). */
+    /** True when retries are on. */
     bool enabled() const { return maxAttempts > 0; }
 };
 
@@ -108,8 +105,9 @@ struct RetryOptions {
 class RetryBackoff
 {
   public:
-    /** @p opts must already be resolved(); @p seed decorrelates peers
-     *  (the server seeds from the request sequence number). */
+    /** Clamps the base to at least 1 µs and the cap to at least the
+     *  base; @p seed decorrelates peers (the server seeds from the
+     *  request sequence number). */
     RetryBackoff(const RetryOptions& opts, uint64_t seed);
 
     /** Next delay in microseconds (always in [base, cap]). */
@@ -176,8 +174,9 @@ class SignatureScoreboard
 
     explicit SignatureScoreboard(const BreakerOptions& opts = {});
 
-    /** Re-resolves options (server construction). Not thread-safe
-     *  against concurrent admits; call before serving starts. */
+    /** Installs @p opts, with probesToClose clamped to at least 1
+     *  (server construction). Not thread-safe against concurrent
+     *  admits; call before serving starts. */
     void configure(const BreakerOptions& opts);
 
     /** True when a positive threshold is configured. */
@@ -209,16 +208,9 @@ class SignatureScoreboard
     std::vector<BreakerHealth> snapshot() const;
 
     /** Drops all per-signature state (blue/green swap installs a new
-     *  engine whose plans deserve a clean slate). Cumulative counters
-     *  survive. */
+     *  engine whose plans deserve a clean slate). The server's own
+     *  breaker counts (ServerStats) are unaffected. */
     void reset();
-
-    /** Cumulative breaker trips (including half-open re-opens). */
-    uint64_t trips() const;
-    /** Cumulative requests shed with kCircuitOpen. */
-    uint64_t shedCount() const;
-    /** Cumulative half-open probes admitted. */
-    uint64_t probes() const;
 
   private:
     struct Entry {
@@ -231,12 +223,9 @@ class SignatureScoreboard
         uint64_t shed = 0;
     };
 
-    BreakerOptions opts_;  ///< always resolved()
+    BreakerOptions opts_;  ///< probesToClose >= 1 (configure)
     mutable std::mutex mu_;
     std::unordered_map<uint64_t, Entry> entries_;
-    uint64_t trips_ = 0;
-    uint64_t shed_ = 0;
-    uint64_t probes_ = 0;
 };
 
 // --- watchdog predicate ----------------------------------------------

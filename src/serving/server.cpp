@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "support/env.h"
 #include "support/logging.h"
 #include "support/string_util.h"
 
@@ -12,25 +11,17 @@ namespace serving {
 
 namespace {
 
-constexpr int kDefaultWorkers = 4;
-constexpr size_t kDefaultQueueDepth = 64;
-
-int
-resolveWorkers(int requested)
+/** @p options, or a typed InvalidInput error when it has no worker or
+ *  a zero queue depth (a server that would shed every request). */
+const ServerOptions&
+validated(const ServerOptions& options)
 {
-    if (requested > 0)
-        return requested;
-    int from_env = env::serverWorkers();
-    return from_env > 0 ? from_env : kDefaultWorkers;
-}
-
-size_t
-resolveQueueDepth(size_t requested)
-{
-    if (requested > 0)
-        return requested;
-    size_t from_env = env::serverQueueDepth();
-    return from_env > 0 ? from_env : kDefaultQueueDepth;
+    SOD2_CHECK_CODE(options.workers > 0, ErrorCode::kInvalidInput)
+        << "Sod2Server needs at least one worker, got "
+        << options.workers;
+    SOD2_CHECK_CODE(options.queueDepth > 0, ErrorCode::kInvalidInput)
+        << "Sod2Server needs a positive queue depth";
+    return options;
 }
 
 size_t
@@ -90,37 +81,13 @@ runOwned(const Sod2Engine& engine, RunContext& ctx,
 
 Sod2Server::Sod2Server(const Sod2Engine* engine, ServerOptions options)
     : engine_(engine),
-      options_(options),
-      queue_depth_cap_(resolveQueueDepth(options.queueDepth)),
-      policy_(options.affinity,
-              static_cast<size_t>(resolveWorkers(options.workers)))
+      options_(validated(options)),
+      policy_(options_.affinity, static_cast<size_t>(options_.workers))
 {
     SOD2_CHECK(engine != nullptr) << "Sod2Server needs a compiled engine";
-    MetricsRegistry& metrics = MetricsRegistry::instance();
-    metric_admitted_ = &metrics.counter("server.admitted");
-    metric_shed_ = &metrics.counter("server.shed");
-    metric_expired_ = &metrics.counter("server.expired");
-    metric_completed_ = &metrics.counter("server.completed");
-    metric_batches_ = &metrics.counter("server.batches");
-    metric_transient_retries_ =
-        &metrics.counter("server.transient_retries");
-    metric_circuit_shed_ = &metrics.counter("server.circuit_shed");
-    metric_breaker_trips_ = &metrics.counter("server.breaker_trips");
-    metric_breaker_probes_ = &metrics.counter("server.breaker_probes");
-    metric_watchdog_stalls_ =
-        &metrics.counter("server.watchdog_stalls");
-    metric_queue_depth_ = &metrics.gauge("server.queue_depth");
-    metric_inflight_ = &metrics.gauge("server.inflight");
-
     scoreboard_.configure(options_.breaker);
-    retry_opts_ = options_.retry.resolved();
-    watchdog_interval_ms_ = options_.watchdogIntervalMillis >= 0
-                                ? options_.watchdogIntervalMillis
-                                : env::watchdogMillis();
-
-    int workers = resolveWorkers(options.workers);
-    workers_.reserve(static_cast<size_t>(workers));
-    for (int i = 0; i < workers; ++i)
+    workers_.reserve(static_cast<size_t>(options_.workers));
+    for (int i = 0; i < options_.workers; ++i)
         workers_.push_back(std::make_unique<Worker>());
     if (!options_.startPaused)
         start();
@@ -141,31 +108,14 @@ Sod2Server::start()
     for (size_t i = 0; i < workers_.size(); ++i)
         workers_[i]->thread =
             std::thread([this, i] { workerLoop(i); });
-    if (watchdog_interval_ms_ > 0 && !watchdog_.joinable())
+    if (options_.watchdogIntervalMillis > 0 && !watchdog_.joinable())
         watchdog_ = std::thread([this] { watchdogLoop(); });
-}
-
-std::vector<size_t>
-Sod2Server::workerLoads() const
-{
-    // Queue depths plus a half-open view of inflight work would need
-    // per-worker inflight flags; queue depth alone is the load signal
-    // (an executing worker's queue drains one slower, which the next
-    // pick observes).
-    std::vector<size_t> loads;
-    loads.reserve(workers_.size());
-    for (const auto& w : workers_)
-        loads.push_back(w->queue.depth());
-    return loads;
 }
 
 size_t
 Sod2Server::workerFor(uint64_t signature)
 {
-    return policy_.pick(signature,
-                        policy_.mode() == AffinityMode::kLeastLoaded
-                            ? workerLoads()
-                            : std::vector<size_t>());
+    return policy_.pick(signature);
 }
 
 void
@@ -204,7 +154,6 @@ Sod2Server::submit(Request request)
         if (!accepting_) {
             ++counts_.submitted;
             ++counts_.shed;
-            metric_shed_->add();
             error_counts_[codeIndex(ErrorCode::kShutdown)].fetch_add(
                 1, std::memory_order_relaxed);
             RunResult r;
@@ -245,7 +194,6 @@ Sod2Server::submit(Request request)
                 ++counts_.submitted;
                 ++counts_.shed;
             }
-            metric_shed_->add();
             failPending(pending, e.code(), e.what());
             return future;
         }
@@ -260,7 +208,6 @@ Sod2Server::submit(Request request)
         if (!accepting_) {
             ++counts_.submitted;
             ++counts_.shed;
-            metric_shed_->add();
             failPending(pending, ErrorCode::kShutdown,
                         "server is shut down");
             return future;
@@ -274,19 +221,17 @@ Sod2Server::submit(Request request)
             continue;
         }
         ++counts_.submitted;
-        if (queued_count_ >= queue_depth_cap_) {
+        if (queued_count_ >= options_.queueDepth) {
             ++counts_.shed;
-            metric_shed_->add();
             failPending(pending, ErrorCode::kQueueFull,
                         strFormat("admission queue full (%zu queued, "
                                   "depth cap %zu)",
-                                  queued_count_, queue_depth_cap_));
+                                  queued_count_, options_.queueDepth));
             return future;
         }
         if (options_.queueBytesBudget > 0 && queued_count_ > 0 &&
             queued_bytes_ + pending.bytes > options_.queueBytesBudget) {
             ++counts_.shed;
-            metric_shed_->add();
             failPending(pending, ErrorCode::kQueueFull,
                         strFormat("admission bytes budget exceeded "
                                   "(%zu queued + %zu request > %zu budget)",
@@ -303,8 +248,6 @@ Sod2Server::submit(Request request)
           case SignatureScoreboard::Admission::kShed:
             ++counts_.shed;
             ++counts_.circuitShed;
-            metric_shed_->add();
-            metric_circuit_shed_->add();
             failPending(pending, ErrorCode::kCircuitOpen,
                         strFormat("circuit open for shape signature "
                                   "%016llx; shedding until the cooldown "
@@ -315,7 +258,6 @@ Sod2Server::submit(Request request)
           case SignatureScoreboard::Admission::kProbe:
             pending.breakerProbe = true;
             ++counts_.breakerProbes;
-            metric_breaker_probes_->add();
             break;
           case SignatureScoreboard::Admission::kAdmit:
             break;
@@ -330,8 +272,6 @@ Sod2Server::submit(Request request)
     pending.engine = eng;
     pending.epoch = epoch;
     pending.inputs = std::move(request.inputs);
-    metric_admitted_->add();
-    metric_queue_depth_->add(1);
 
     size_t target = workerFor(pending.signature);
     if (!workers_[target]->queue.push(std::move(pending))) {
@@ -345,8 +285,6 @@ Sod2Server::submit(Request request)
             ++counts_.shed;
             releaseEpochLocked(pending.epoch);
         }
-        metric_queue_depth_->add(-1);
-        metric_shed_->add();
         failPending(pending, ErrorCode::kShutdown,
                     "server shut down before dispatch");
         idle_cv_.notify_all();
@@ -421,8 +359,6 @@ Sod2Server::workerLoop(size_t index)
             queued_bytes_ -= p.bytes;
             ++inflight_;
         }
-        metric_queue_depth_->add(-1);
-        metric_inflight_->add(1);
 
         // In-queue expiry: shed typed without executing.
         const auto now = std::chrono::steady_clock::now();
@@ -434,8 +370,6 @@ Sod2Server::workerLoop(size_t index)
                 ++counts_.expired;
                 releaseEpochLocked(p.epoch);
             }
-            metric_expired_->add();
-            metric_shed_->add();
             failPending(p, ErrorCode::kDeadlineExceeded,
                         "deadline expired while queued; request shed "
                         "without executing");
@@ -443,7 +377,6 @@ Sod2Server::workerLoop(size_t index)
                 std::lock_guard<std::mutex> lock(mu_);
                 --inflight_;
             }
-            metric_inflight_->add(-1);
             idle_cv_.notify_all();
             continue;
         }
@@ -480,10 +413,10 @@ Sod2Server::workerLoop(size_t index)
         // fault) gets up to maxAttempts re-runs under decorrelated-
         // jitter backoff, deadline-aware so a retry never spends time
         // the request no longer has.
-        if (retry_opts_.enabled() && !result.ok() &&
+        if (options_.retry.enabled() && !result.ok() &&
             transientRetryable(result.code)) {
-            RetryBackoff backoff(retry_opts_, p.seq + 1);
-            for (int attempt = 0; attempt < retry_opts_.maxAttempts;
+            RetryBackoff backoff(options_.retry, p.seq + 1);
+            for (int attempt = 0; attempt < options_.retry.maxAttempts;
                  ++attempt) {
                 const long long delay = backoff.nextDelayMicros();
                 RunOptions own = p.runOptions;
@@ -510,7 +443,6 @@ Sod2Server::workerLoop(size_t index)
                     std::lock_guard<std::mutex> lock(mu_);
                     ++counts_.transientRetries;
                 }
-                metric_transient_retries_->add();
                 worker.busyDeadlineUs.store(own_deadline_us,
                                             std::memory_order_relaxed);
                 result = runOwned(engine, worker.ctx, p.inputs, own);
@@ -528,11 +460,8 @@ Sod2Server::workerLoop(size_t index)
                 scoreboard_.onSuccess(p.signature, p.breakerProbe);
             } else if (scoreboard_.onFailure(p.signature, result.code,
                                              p.breakerProbe)) {
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++counts_.breakerTrips;
-                }
-                metric_breaker_trips_->add();
+                std::lock_guard<std::mutex> lock(mu_);
+                ++counts_.breakerTrips;
             }
         }
 
@@ -557,15 +486,11 @@ Sod2Server::workerLoop(size_t index)
                 ++counts_.failed;
             releaseEpochLocked(p.epoch);
         }
-        metric_batches_->add();
-        if (ok)
-            metric_completed_->add();
         p.promise.set_value(std::move(result));
         {
             std::lock_guard<std::mutex> lock(mu_);
             --inflight_;
         }
-        metric_inflight_->add(-1);
         worker.busy.store(false, std::memory_order_relaxed);
         worker.busyDeadlineUs.store(0, std::memory_order_relaxed);
         worker.stuck.store(false, std::memory_order_relaxed);
@@ -607,7 +532,7 @@ Sod2Server::swapEngine(const Sod2Engine* next, const SwapOptions& opts)
     // instantiation and affinity pinning happen before a single
     // request is admitted to it, so the cutover has no cold start.
     for (const std::vector<Tensor>* inputs : opts.warmupInputs) {
-        policy_.pick(next->signatureFor(*inputs), std::vector<size_t>());
+        policy_.pick(next->signatureFor(*inputs));
         next->warmup(*inputs);
     }
 
@@ -650,8 +575,6 @@ Sod2Server::swapEngine(const Sod2Engine* next, const SwapOptions& opts)
                     ++counts_.discarded;
                     releaseEpochLocked(p.epoch);
                 }
-                metric_queue_depth_->add(-1);
-                metric_shed_->add();
                 failPending(p, ErrorCode::kShutdown,
                             "request superseded by engine swap");
                 ++shed;
@@ -739,12 +662,9 @@ Sod2Server::discardQueued(std::deque<Pending> items)
         queued_count_ -= items.size();
         counts_.discarded += items.size();
     }
-    metric_queue_depth_->add(-static_cast<int64_t>(items.size()));
-    for (Pending& p : items) {
-        metric_shed_->add();
+    for (Pending& p : items)
         failPending(p, ErrorCode::kShutdown,
                     "request discarded by server shutdown");
-    }
     idle_cv_.notify_all();
 }
 
@@ -807,7 +727,7 @@ void
 Sod2Server::watchdogLoop()
 {
     const auto interval =
-        std::chrono::milliseconds(watchdog_interval_ms_);
+        std::chrono::milliseconds(options_.watchdogIntervalMillis);
     const int64_t grace_us =
         static_cast<int64_t>(options_.watchdogGraceSeconds * 1e6);
     std::unique_lock<std::mutex> lock(watchdog_mu_);
@@ -830,7 +750,6 @@ Sod2Server::watchdogLoop()
                     std::lock_guard<std::mutex> count_lock(mu_);
                     ++counts_.watchdogStalls;
                 }
-                metric_watchdog_stalls_->add();
                 SOD2_LOG(kWarn)
                     << "server worker " << i
                     << " is stuck: busy past its run deadline by more "

@@ -46,7 +46,6 @@
 #include "serving/affinity.h"
 #include "serving/request_queue.h"
 #include "serving/resilience.h"
-#include "support/metrics.h"
 #include "support/status.h"
 
 namespace sod2 {
@@ -71,16 +70,15 @@ struct Request
     bool fallbackOnError = false;
 };
 
-/** Server construction knobs. Every 0/default defers to the matching
- *  SOD2_SERVER_* env knob, then to the built-in default. */
+/** Server construction knobs. The constructor rejects workers <= 0
+ *  and queueDepth == 0 with a typed InvalidInput error. */
 struct ServerOptions
 {
-    /** Worker threads (== pinned RunContexts). 0 -> SOD2_SERVER_WORKERS
-     *  -> 4. */
-    int workers = 0;
-    /** Total admitted-but-unstarted requests across all workers.
-     *  0 -> SOD2_SERVER_QUEUE_DEPTH -> 64. */
-    size_t queueDepth = 0;
+    /** Worker threads (== pinned RunContexts); at least 1. */
+    int workers = 4;
+    /** Total admitted-but-unstarted requests across all workers; at
+     *  least 1. */
+    size_t queueDepth = 64;
     /**
      * Budget, in input-payload bytes, across all queued requests; 0 =
      * unlimited. A request that would exceed it is shed QueueFull —
@@ -89,8 +87,8 @@ struct ServerOptions
      * unservable.
      */
     size_t queueBytesBudget = 0;
-    /** Dispatch policy. Defaults from SOD2_SERVER_AFFINITY (-> shape). */
-    AffinityMode affinity = defaultAffinityMode();
+    /** Dispatch policy. */
+    AffinityMode affinity = AffinityMode::kShape;
     /** Baseline engine guardrails for every request (per-request fields
      *  override). Its deadlineSeconds, when set, caps each run's
      *  cooperative deadline in addition to any request deadline. */
@@ -102,25 +100,22 @@ struct ServerOptions
      */
     bool startPaused = false;
     /**
-     * Per-signature circuit breaker tuning (serving/resilience.h).
-     * Negative fields defer to the SOD2_BREAKER_* env knobs; the
-     * resolved default threshold is 0, i.e. breakers off.
+     * Per-signature circuit breaker tuning (serving/resilience.h). The
+     * default threshold is 0, i.e. breakers off.
      */
     BreakerOptions breaker;
     /**
      * Bounded in-worker retry for transient failures
-     * (serving/resilience.h). Negative fields defer to the
-     * SOD2_RETRY_* env knobs; the resolved default budget is 0, i.e.
-     * retries off.
+     * (serving/resilience.h). The default budget is 0, i.e. retries
+     * off.
      */
     RetryOptions retry;
     /**
      * Watchdog scan interval in milliseconds: a background thread
      * flags workers stuck past their run deadline + grace and gates
-     * health().ready. 0 disables the watchdog. Negative ->
-     * SOD2_WATCHDOG_MS -> 100.
+     * health().ready. 0 (or negative) disables the watchdog.
      */
-    long long watchdogIntervalMillis = -1;
+    long long watchdogIntervalMillis = 100;
     /** Grace past a run's effective deadline before the watchdog
      *  declares the worker stuck. */
     double watchdogGraceSeconds = 0.25;
@@ -246,6 +241,8 @@ struct ServerHealth
 class Sod2Server
 {
   public:
+    /** Throws a typed InvalidInput Error when @p options has no
+     *  worker or a zero queue depth. */
     explicit Sod2Server(const Sod2Engine* engine, ServerOptions options = {});
     ~Sod2Server();
 
@@ -340,7 +337,6 @@ class Sod2Server
 
     void workerLoop(size_t index);
     void watchdogLoop();
-    std::vector<size_t> workerLoads() const;
     /** Resolves @p p's promise with a typed non-executed result,
      *  releasing a held breaker-probe slot and recording the per-code
      *  outcome count. Callable with or without mu_ held. */
@@ -361,7 +357,6 @@ class Sod2Server
      *  Pending carries the engine it was admitted against. */
     const Sod2Engine* engine_;
     ServerOptions options_;
-    size_t queue_depth_cap_;
     AffinityPolicy policy_;
     std::vector<std::unique_ptr<Worker>> workers_;
 
@@ -397,10 +392,6 @@ class Sod2Server
      *  Lock order: mu_ / queue locks may be held when its methods are
      *  called, never the reverse. */
     SignatureScoreboard scoreboard_;
-    /** Resolved transient-retry policy (RetryOptions::resolved()). */
-    RetryOptions retry_opts_;
-    /** Resolved watchdog scan interval (ms; 0 = disabled). */
-    long long watchdog_interval_ms_ = 0;
     std::thread watchdog_;
     std::mutex watchdog_mu_;
     std::condition_variable watchdog_cv_;
@@ -408,20 +399,6 @@ class Sod2Server
     /** Per-ErrorCode resolved-request counts (lock-free: bumped on
      *  every promise resolution, including shed paths that hold mu_). */
     std::array<std::atomic<uint64_t>, kErrorCodeCount> error_counts_{};
-
-    /** Process-wide metric mirrors ("server.*", support/metrics.h). */
-    Counter* metric_admitted_;
-    Counter* metric_shed_;
-    Counter* metric_expired_;
-    Counter* metric_completed_;
-    Counter* metric_batches_;
-    Counter* metric_transient_retries_;
-    Counter* metric_circuit_shed_;
-    Counter* metric_breaker_trips_;
-    Counter* metric_breaker_probes_;
-    Counter* metric_watchdog_stalls_;
-    Gauge* metric_queue_depth_;
-    Gauge* metric_inflight_;
 };
 
 }  // namespace serving

@@ -117,82 +117,6 @@ arenaBudgetBytes()
 }
 
 int
-serverWorkers()
-{
-    static const int value = readPositiveInt("SOD2_SERVER_WORKERS", 0);
-    return value;
-}
-
-size_t
-serverQueueDepth()
-{
-    static const size_t value = static_cast<size_t>(
-        readPositiveInt64("SOD2_SERVER_QUEUE_DEPTH", 0));
-    return value;
-}
-
-const std::string&
-serverAffinity()
-{
-    static const std::string value = readString("SOD2_SERVER_AFFINITY");
-    return value;
-}
-
-int
-breakerThreshold()
-{
-    static const int value =
-        readPositiveInt("SOD2_BREAKER_THRESHOLD", 0);
-    return value;
-}
-
-long long
-breakerCooldownMillis()
-{
-    static const long long value =
-        readPositiveInt64("SOD2_BREAKER_COOLDOWN_MS", 250);
-    return value;
-}
-
-int
-breakerProbes()
-{
-    static const int value = readPositiveInt("SOD2_BREAKER_PROBES", 1);
-    return value;
-}
-
-int
-retryMax()
-{
-    static const int value = readPositiveInt("SOD2_RETRY_MAX", 0);
-    return value;
-}
-
-long long
-retryBaseMicros()
-{
-    static const long long value =
-        readPositiveInt64("SOD2_RETRY_BASE_US", 200);
-    return value;
-}
-
-long long
-retryCapMicros()
-{
-    static const long long value =
-        readPositiveInt64("SOD2_RETRY_CAP_US", 20000);
-    return value;
-}
-
-long long
-watchdogMillis()
-{
-    static const long long value =
-        readNonNegativeInt64("SOD2_WATCHDOG_MS", 100);
-    return value;
-}
-
-int
 benchSamples()
 {
     static const int value = readPositiveInt("SOD2_BENCH_SAMPLES", 0);

@@ -18,6 +18,11 @@
  *
  * The cached accessors are thread-safe (each is backed by a
  * magic-static initialized on first use).
+ *
+ * A knob here is a process-wide setting or a bench harness's sample
+ * count. Settings of one object (a Sod2Server's workers, queue depth,
+ * breaker, retry and watchdog) are fields of its options struct only,
+ * with no env mirror.
  */
 
 #include <string>
@@ -61,87 +66,6 @@ const std::string& traceFile();
  * Cached at first query, once per process.
  */
 size_t arenaBudgetBytes();
-
-/**
- * SOD2_SERVER_WORKERS — worker-thread count of a Sod2Server whose
- * ServerOptions leaves workers at 0. Returns 0 when unset (the server
- * then picks its built-in default). Cached at first query, once per
- * process.
- */
-int serverWorkers();
-
-/**
- * SOD2_SERVER_QUEUE_DEPTH — total admission-queue depth (across all
- * workers) of a Sod2Server whose ServerOptions leaves queueDepth at 0.
- * Returns 0 when unset (the server then picks its built-in default).
- * Cached at first query, once per process.
- */
-size_t serverQueueDepth();
-
-/**
- * SOD2_SERVER_AFFINITY — dispatch policy of a Sod2Server: "shape"
- * (default), "round_robin", or "least_loaded". Empty when unset.
- * Cached at first query, once per process.
- */
-const std::string& serverAffinity();
-
-/**
- * SOD2_BREAKER_THRESHOLD — consecutive typed failures of one shape
- * signature that trip its circuit breaker (DESIGN.md §15), when
- * ServerOptions leaves BreakerOptions::threshold negative. Returns 0
- * when unset (breakers disabled). Cached at first query, once per
- * process.
- */
-int breakerThreshold();
-
-/**
- * SOD2_BREAKER_COOLDOWN_MS — milliseconds an open breaker waits before
- * letting one half-open probe through, when ServerOptions leaves
- * BreakerOptions::cooldownMillis negative. Returns 250 when unset.
- * Cached at first query, once per process.
- */
-long long breakerCooldownMillis();
-
-/**
- * SOD2_BREAKER_PROBES — consecutive successful half-open probes that
- * re-close a tripped breaker, when ServerOptions leaves
- * BreakerOptions::probesToClose negative. Returns 1 when unset.
- * Cached at first query, once per process.
- */
-int breakerProbes();
-
-/**
- * SOD2_RETRY_MAX — per-request budget of in-worker retries for
- * transient error classes (DESIGN.md §15), when ServerOptions leaves
- * RetryOptions::maxAttempts negative. Returns 0 when unset (retries
- * disabled). Cached at first query, once per process.
- */
-int retryMax();
-
-/**
- * SOD2_RETRY_BASE_US — base delay, in microseconds, of the
- * decorrelated-jitter retry backoff, when ServerOptions leaves
- * RetryOptions::baseMicros negative. Returns 200 when unset. Cached at
- * first query, once per process.
- */
-long long retryBaseMicros();
-
-/**
- * SOD2_RETRY_CAP_US — upper bound, in microseconds, on one retry
- * backoff delay, when ServerOptions leaves RetryOptions::capMicros
- * negative. Returns 20000 when unset. Cached at first query, once per
- * process.
- */
-long long retryCapMicros();
-
-/**
- * SOD2_WATCHDOG_MS — scan interval of the server watchdog thread that
- * flags workers stuck past their run deadline plus grace, when
- * ServerOptions leaves watchdogIntervalMillis negative. 0 turns the
- * watchdog off. Returns 100 when unset, negative or not an integer.
- * Cached at first query, once per process.
- */
-long long watchdogMillis();
 
 /**
  * SOD2_SNAPSHOT=1 — enables engine snapshotting (core/snapshot.h):
@@ -204,7 +128,7 @@ int readPositiveInt(const char* name, int fallback);
 long long readPositiveInt64(const char* name, long long fallback);
 
 /** Uncached low-level parse: @p name as a 64-bit int >= 0, else
- *  @p fallback (for knobs where 0 means off, like SOD2_WATCHDOG_MS). */
+ *  @p fallback (for knobs where 0 means off). */
 long long readNonNegativeInt64(const char* name, long long fallback);
 
 }  // namespace env

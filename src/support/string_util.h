@@ -46,8 +46,8 @@ std::string padTo(const std::string& s, size_t width);
  * Strict structural JSON validator (RFC 8259 grammar, no extensions):
  * returns true iff @p text is exactly one valid JSON value. On failure
  * @p error (optional) receives a message with the byte offset. Used to
- * check emitted artifacts — Chrome trace exports, metrics snapshots,
- * benchmark "JSON:" lines — without an external parser.
+ * check emitted artifacts — Chrome trace exports and benchmark "JSON:"
+ * lines — without an external parser.
  */
 bool validateJson(const std::string& text, std::string* error = nullptr);
 

@@ -21,7 +21,6 @@
 #include "runtime/interpreter.h"
 #include "support/fault_injection.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/status.h"
 
 namespace sod2 {
@@ -405,13 +404,6 @@ TEST_P(FaultSiteTest, FallbackServesFaultedRequest)
     Interpreter ref(&m.graph, {});
     auto expect = ref.run(in);
 
-    Counter& fallbacks =
-        MetricsRegistry::instance().counter("engine.fallback_runs");
-    Counter& failures =
-        MetricsRegistry::instance().counter("engine.failed_runs");
-    uint64_t fallbacks_before = fallbacks.value();
-    uint64_t failures_before = failures.value();
-
     fault::arm(site);
     RunOptions ropts;
     ropts.fallbackOnError = true;
@@ -422,14 +414,11 @@ TEST_P(FaultSiteTest, FallbackServesFaultedRequest)
     ASSERT_EQ(r.outputs.size(), expect.size());
     EXPECT_TRUE(Tensor::allClose(r.outputs[0], expect[0], 1e-3f, 1e-3f))
         << site;
-    EXPECT_EQ(fallbacks.value(), fallbacks_before + 1);
-    EXPECT_EQ(failures.value(), failures_before + 1);
 
     // Optimized path is healthy again on the same context.
     r = engine.tryRun(ctx, in, nullptr, ropts);
     EXPECT_TRUE(r.ok());
     EXPECT_FALSE(r.fellBack);
-    EXPECT_EQ(fallbacks.value(), fallbacks_before + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,14 +1,12 @@
 /** Observability-layer tests: tracer on/off semantics (off = zero
  *  events and bit-exact outputs; on = one span per executed group and
- *  valid Chrome trace JSON), metrics counters/histograms aggregating
- *  across threads, the strict JSON validator, and the bench harness's
- *  geoMean guards and percentile columns. Labeled "observability" so
- *  scripts/check.sh observability and the tsan preset can target it. */
+ *  valid Chrome trace JSON), the strict JSON validator, and the bench
+ *  harness's geoMean guards and percentile columns. Labeled
+ *  "observability" so scripts/check.sh observability and the tsan
+ *  preset can target it. */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -18,7 +16,6 @@
 #include "graph/builder.h"
 #include "harness.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/string_util.h"
 #include "support/trace.h"
 
@@ -240,257 +237,6 @@ TEST(TraceTest, BufferDropsBeyondCapacityInsteadOfGrowing)
     EXPECT_EQ(buf.droppedCount(), 10u);
 }
 
-// --- metrics ----------------------------------------------------------
-
-TEST(MetricsTest, HistogramPercentilesInterpolateWithinBuckets)
-{
-    Histogram h({10.0, 20.0, 30.0});
-    for (int i = 0; i < 10; ++i)
-        h.observe(15.0);  // all land in (10, 20]
-    EXPECT_EQ(h.count(), 10u);
-    EXPECT_DOUBLE_EQ(h.sum(), 150.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 15.0);
-    // rank 5 of 10 in a bucket spanning (10, 20]: midpoint.
-    EXPECT_DOUBLE_EQ(h.percentile(50.0), 15.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100.0), 20.0);
-
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
-
-    h.observe(1000.0);  // overflow bucket
-    EXPECT_DOUBLE_EQ(h.percentile(99.0), 30.0);  // clamps to last bound
-}
-
-TEST(MetricsTest, SnapshotIsInternallyConsistentUnderWriters)
-{
-    // Regression for torn toJson() reads: percentile() used to re-read
-    // the live buckets per call, so count/p50/p95/p99 could each see a
-    // different population. snapshot() captures the buckets once; every
-    // derived statistic must agree with that single capture, no matter
-    // how hard concurrent observe() calls hammer the histogram. (Run
-    // under TSan via the observability label.)
-    Histogram h({10.0, 20.0, 30.0});
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> writers;
-    for (int t = 0; t < 4; ++t)
-        writers.emplace_back([&] {
-            uint64_t i = 0;
-            while (!stop.load(std::memory_order_relaxed))
-                h.observe(static_cast<double>(++i % 40));
-        });
-
-    for (int round = 0; round < 200; ++round) {
-        Histogram::Snapshot s = h.snapshot();
-        uint64_t bucket_sum = 0;
-        for (uint64_t b : s.buckets)
-            bucket_sum += b;
-        // count is *derived from* the captured buckets — identical by
-        // construction; a torn implementation trips this immediately.
-        ASSERT_EQ(s.count, bucket_sum);
-        double p50 = s.percentile(50.0);
-        double p95 = s.percentile(95.0);
-        double p99 = s.percentile(99.0);
-        ASSERT_LE(p50, p95);
-        ASSERT_LE(p95, p99);
-        if (s.count > 0) {
-            ASSERT_GE(s.mean(), 0.0);
-        }
-    }
-    stop.store(true);
-    for (auto& w : writers)
-        w.join();
-
-    // Quiescent: snapshot and live accessors agree exactly.
-    Histogram::Snapshot s = h.snapshot();
-    EXPECT_EQ(s.count, h.count());
-    EXPECT_DOUBLE_EQ(s.percentile(50.0), h.percentile(50.0));
-}
-
-TEST(MetricsTest, ResetDuringWriterStormNeverTearsSnapshots)
-{
-    // Regression for reset-vs-writer tears: an observe() that
-    // overlapped reset() could land its bucket before the zeroing and
-    // its sum after it (or vice versa), and a snapshot could read the
-    // buckets before an observe and the sum after it. reset() and
-    // snapshot() now quiesce writers (odd epoch + in-flight drain), so
-    // under concurrent observers, resetters AND snapshotters every
-    // view holds whole observations only. (Run under TSan via the
-    // observability label.) Failures are collected and asserted after
-    // the threads are joined, so a failing round cannot leave them
-    // running.
-    Histogram h({10.0, 20.0, 30.0});
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t)
-        threads.emplace_back([&] {
-            uint64_t i = 0;
-            while (!stop.load(std::memory_order_relaxed))
-                h.observe(static_cast<double>(++i % 40));
-        });
-    threads.emplace_back([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            h.reset();
-            std::this_thread::yield();
-        }
-    });
-
-    std::vector<std::string> failures;
-    for (int round = 0; round < 500 && failures.size() < 5; ++round) {
-        Histogram::Snapshot s = h.snapshot();
-        uint64_t bucket_sum = 0;
-        for (uint64_t b : s.buckets)
-            bucket_sum += b;
-        std::string where = "round " + std::to_string(round) + ": ";
-        if (s.count != bucket_sum)
-            failures.push_back(where + "count " + std::to_string(s.count) +
-                               " != bucket sum " +
-                               std::to_string(bucket_sum));
-        // A tear of pre-reset buckets with a post-reset sum, or of
-        // buckets read before an observe with a sum read after it,
-        // shows up as a mean outside the observed range [0, 39].
-        if (s.count > 0 && (s.mean() < 0.0 || s.mean() > 40.0))
-            failures.push_back(where + "mean " + std::to_string(s.mean()) +
-                               " over " + std::to_string(s.count) +
-                               " observations");
-        if (s.percentile(50.0) > s.percentile(99.0))
-            failures.push_back(where + "p50 above p99");
-    }
-    stop.store(true);
-    for (auto& th : threads)
-        th.join();
-    for (const std::string& f : failures)
-        ADD_FAILURE() << f;
-
-    // Quiescent reset still zeroes everything.
-    h.reset();
-    Histogram::Snapshot s = h.snapshot();
-    EXPECT_EQ(s.count, 0u);
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-}
-
-TEST(MetricsTest, RegistryResetAllRacesToJsonSafely)
-{
-    // The registry-level storm the issue names: toJson() walking every
-    // instrument while resetAll() zeroes them concurrently. Both take
-    // the registry lock for the instrument MAP, but histogram contents
-    // are read lock-free — the per-histogram seqlock is what keeps the
-    // dump internally consistent. The test asserts it parses and no
-    // sanitizer report fires.
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    Counter& c = reg.counter("observability_test.reset_race");
-    Histogram& h =
-        reg.histogram("observability_test.reset_race_hist", {1.0, 2.0});
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 2; ++t)
-        threads.emplace_back([&] {
-            while (!stop.load(std::memory_order_relaxed)) {
-                c.add();
-                h.observe(1.5);
-            }
-        });
-    threads.emplace_back([&] {
-        while (!stop.load(std::memory_order_relaxed))
-            reg.resetAll();
-    });
-    for (int round = 0; round < 200; ++round) {
-        std::string error;
-        EXPECT_TRUE(validateJson(reg.toJson(), &error)) << error;
-    }
-    stop.store(true);
-    for (auto& th : threads)
-        th.join();
-}
-
-TEST(MetricsTest, RegistryReturnsSameInstancePerName)
-{
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    Counter& a = reg.counter("observability_test.counter");
-    Counter& b = reg.counter("observability_test.counter");
-    EXPECT_EQ(&a, &b);
-    uint64_t before = a.value();
-    b.add(3);
-    EXPECT_EQ(a.value(), before + 3);
-
-    Histogram& ha = reg.histogram("observability_test.hist");
-    Histogram& hb = reg.histogram("observability_test.hist", {1.0});
-    EXPECT_EQ(&ha, &hb);  // bounds only apply on first creation
-}
-
-TEST(MetricsTest, ToJsonIsValidJson)
-{
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    reg.counter("observability_test.json").add();
-    reg.histogram("observability_test.json_hist").observe(42.0);
-    std::string json = reg.toJson();
-    std::string error;
-    EXPECT_TRUE(validateJson(json, &error)) << error;
-}
-
-TEST(MetricsTest, GaugeSetAddAndRegistryIdentity)
-{
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    Gauge& a = reg.gauge("observability_test.gauge");
-    Gauge& b = reg.gauge("observability_test.gauge");
-    EXPECT_EQ(&a, &b);  // one instance per name, like counters
-
-    a.set(7);
-    EXPECT_EQ(b.value(), 7);
-    b.add(-3);
-    EXPECT_EQ(a.value(), 4);
-    a.add(10);
-    EXPECT_EQ(a.value(), 14);
-
-    // Gauges are exported next to counters/histograms in one snapshot.
-    a.set(-2);  // negative levels must survive the round trip
-    std::string json = reg.toJson();
-    std::string error;
-    EXPECT_TRUE(validateJson(json, &error)) << error;
-    EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-    EXPECT_NE(json.find("\"observability_test.gauge\":-2"),
-              std::string::npos);
-
-    a.reset();
-    EXPECT_EQ(a.value(), 0);
-}
-
-TEST(MetricsTest, EngineHistogramCountsEveryRunAcrossEightThreads)
-{
-    TestModel m = TestModel::cnn();
-    Sod2Options opts;
-    opts.rdp = m.rdp;
-    Sod2Engine engine(&m.graph, opts);
-
-    TraceGuard on(true);  // metrics observe on the traced path
-    Histogram& run_us =
-        MetricsRegistry::instance().histogram("engine.run_us");
-    Counter& runs = MetricsRegistry::instance().counter("engine.runs");
-    uint64_t hist_before = run_us.count();
-    uint64_t runs_before = runs.value();
-
-    constexpr int kThreads = 8;
-    constexpr int kRounds = 4;
-    std::barrier sync(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            RunContext ctx;
-            sync.arrive_and_wait();
-            for (int r = 0; r < kRounds; ++r)
-                engine.run(ctx, {cnnInput(1, 8 + 4 * (t % 2), 8, 6)});
-        });
-    }
-    for (auto& th : threads)
-        th.join();
-
-    uint64_t total = static_cast<uint64_t>(kThreads) * kRounds;
-    EXPECT_EQ(run_us.count() - hist_before, total);
-    EXPECT_EQ(runs.value() - runs_before, total);
-    EXPECT_GE(run_us.percentile(99.0), run_us.percentile(50.0));
-}
-
 // --- JSON validator ---------------------------------------------------
 
 TEST(JsonValidatorTest, AcceptsValidDocuments)
@@ -533,6 +279,38 @@ TEST(GeoMeanTest, SkipsNonPositiveValues)
     // mean taken over what remains.
     EXPECT_DOUBLE_EQ(bench::geoMean({4.0, 0.0, 9.0, -2.0}), 6.0);
     EXPECT_THROW(bench::geoMean({0.0, -1.0}), Error);
+}
+
+TEST(SampleStatsTest, NearestRankPercentilesAndGuards)
+{
+    // The p50/p95/p99 columns of table6_latency and serving_load: the
+    // ceil(q*N)-th smallest sample, whatever the input order.
+    std::vector<double> hundred;
+    for (int v = 100; v >= 1; --v)
+        hundred.push_back(static_cast<double>(v));
+    bench::SampleStats s(hundred);
+    EXPECT_EQ(s.count(), 100u);
+    EXPECT_DOUBLE_EQ(s.percentile(0.50), 50.0);
+    EXPECT_DOUBLE_EQ(s.percentile(0.95), 95.0);
+    EXPECT_DOUBLE_EQ(s.percentile(0.99), 99.0);
+    EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
+    EXPECT_DOUBLE_EQ(s.percentile(1.0), 100.0);
+    EXPECT_DOUBLE_EQ(s.min(), 1.0);
+    EXPECT_DOUBLE_EQ(s.max(), 100.0);
+    EXPECT_DOUBLE_EQ(s.mean(), 50.5);
+
+    // One sample is every percentile.
+    bench::SampleStats one({7.5});
+    EXPECT_DOUBLE_EQ(one.percentile(0.50), 7.5);
+    EXPECT_DOUBLE_EQ(one.percentile(0.95), 7.5);
+    EXPECT_DOUBLE_EQ(one.percentile(0.99), 7.5);
+
+    // An empty sample set is a harness bug, and so is a quantile
+    // outside [0, 1] (a percent passed where a fraction belongs).
+    EXPECT_THROW((void)bench::SampleStats(std::vector<double>{}), Error);
+    EXPECT_THROW(s.percentile(-0.01), Error);
+    EXPECT_THROW(s.percentile(1.01), Error);
+    EXPECT_THROW(s.percentile(50.0), Error);
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ hasRow(const SignatureScoreboard& sb, uint64_t signature)
 }
 
 /** Breaker tuning used by most scoreboard tests: explicit everywhere
- *  so the env defaults (breakers off) cannot mask a regression. */
+ *  so the defaults (breakers off) cannot mask a regression. */
 BreakerOptions
 breaker(int threshold, long long cooldown_ms = 100,
         int probes_to_close = 1)
@@ -196,43 +196,57 @@ TEST(Classification, CircuitOpenCodeNameIsStable)
                  "circuit_open");
 }
 
-// --- options resolution -----------------------------------------------
+// --- options ----------------------------------------------------------
 
 TEST(Options, NegativeFieldsResolveToDefaults)
 {
-    // The suite runs with SOD2_BREAKER_* / SOD2_RETRY_* unset, so the
-    // resolved values are the built-in defaults: breakers and retries
-    // OFF until explicitly enabled.
-    BreakerOptions b = BreakerOptions{}.resolved();
-    EXPECT_EQ(b.threshold, 0);
-    EXPECT_EQ(b.cooldownMillis, 250);
-    EXPECT_EQ(b.probesToClose, 1);
-    EXPECT_FALSE(b.enabled());
+    // A default-constructed ServerOptions holds the built-in defaults:
+    // 4 workers, 64 queue slots, shape affinity, a 100 ms watchdog, and
+    // breakers and retries OFF until explicitly enabled.
+    ServerOptions o;
+    EXPECT_EQ(o.workers, 4);
+    EXPECT_EQ(o.queueDepth, 64u);
+    EXPECT_EQ(o.affinity, serving::AffinityMode::kShape);
+    EXPECT_EQ(o.watchdogIntervalMillis, 100);
 
-    RetryOptions r = RetryOptions{}.resolved();
-    EXPECT_EQ(r.maxAttempts, 0);
-    EXPECT_EQ(r.baseMicros, 200);
-    EXPECT_EQ(r.capMicros, 20000);
-    EXPECT_FALSE(r.enabled());
+    EXPECT_EQ(o.breaker.threshold, 0);
+    EXPECT_EQ(o.breaker.cooldownMillis, 250);
+    EXPECT_EQ(o.breaker.probesToClose, 1);
+    EXPECT_FALSE(o.breaker.enabled());
+
+    EXPECT_EQ(o.retry.maxAttempts, 0);
+    EXPECT_EQ(o.retry.baseMicros, 200);
+    EXPECT_EQ(o.retry.capMicros, 20000);
+    EXPECT_FALSE(o.retry.enabled());
 }
 
 TEST(Options, ExplicitFieldsSurviveResolutionAndClamp)
 {
-    BreakerOptions b = breaker(3, 10, 2).resolved();
-    EXPECT_EQ(b.threshold, 3);
-    EXPECT_EQ(b.cooldownMillis, 10);
-    EXPECT_EQ(b.probesToClose, 2);
-    EXPECT_TRUE(b.enabled());
+    // The scoreboard clamps probesToClose to at least 1: with 0, one
+    // successful probe still re-closes the breaker.
+    SignatureScoreboard sb(breaker(1, 100, /*probes_to_close=*/0));
+    EXPECT_TRUE(sb.enabled());
+    const Clock::time_point t0 = Clock::now();
+    using std::chrono::milliseconds;
+    EXPECT_TRUE(sb.onFailure(0xA, ErrorCode::kInternal, false, t0));
+    EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(120)), Admission::kProbe);
+    sb.onSuccess(0xA, /*probe=*/true, t0 + milliseconds(125));
+    EXPECT_FALSE(hasRow(sb, 0xA));
 
+    // RetryBackoff clamps the base to at least 1 us and a cap below the
+    // base up to the base: every delay is then exactly the base.
     RetryOptions r;
     r.maxAttempts = 2;
     r.baseMicros = 500;
-    r.capMicros = 10;  // below base: clamps up
-    r = r.resolved();
-    EXPECT_EQ(r.maxAttempts, 2);
-    EXPECT_EQ(r.baseMicros, 500);
-    EXPECT_EQ(r.capMicros, 500);
-    EXPECT_TRUE(r.enabled());
+    r.capMicros = 10;
+    RetryBackoff raised(r, /*seed=*/3);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(raised.nextDelayMicros(), 500);
+    r.baseMicros = 0;
+    r.capMicros = 0;
+    RetryBackoff floored(r, /*seed=*/3);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(floored.nextDelayMicros(), 1);
 }
 
 // --- decorrelated-jitter backoff --------------------------------------
@@ -243,7 +257,6 @@ TEST(Backoff, DelaysStayWithinBaseAndCap)
     o.maxAttempts = 8;
     o.baseMicros = 100;
     o.capMicros = 1000;
-    o = o.resolved();
     RetryBackoff backoff(o, /*seed=*/7);
     for (int i = 0; i < 64; ++i) {
         long long d = backoff.nextDelayMicros();
@@ -258,7 +271,6 @@ TEST(Backoff, SameSeedIsDeterministicDifferentSeedsDecorrelate)
     o.maxAttempts = 8;
     o.baseMicros = 50;
     o.capMicros = 100000;
-    o = o.resolved();
     RetryBackoff a(o, 11), b(o, 11), c(o, 12);
     bool diverged = false;
     for (int i = 0; i < 16; ++i) {
@@ -275,7 +287,7 @@ TEST(Backoff, SameSeedIsDeterministicDifferentSeedsDecorrelate)
 
 TEST(Breaker, DisabledScoreboardAdmitsEverything)
 {
-    SignatureScoreboard sb;  // env default: threshold 0 -> off
+    SignatureScoreboard sb;  // default: threshold 0 -> off
     EXPECT_FALSE(sb.enabled());
     EXPECT_EQ(sb.admit(0xA), Admission::kAdmit);
     EXPECT_FALSE(sb.onFailure(0xA, ErrorCode::kInternal, false));
@@ -294,9 +306,7 @@ TEST(Breaker, TripsAtExactThreshold)
     EXPECT_TRUE(hasRow(sb, 0xA));
     // Exactly the threshold-th consecutive charged failure trips.
     EXPECT_TRUE(sb.onFailure(0xA, ErrorCode::kInternal, false, t0));
-    EXPECT_EQ(sb.trips(), 1u);
     EXPECT_EQ(sb.admit(0xA, t0), Admission::kShed);
-    EXPECT_EQ(sb.shedCount(), 1u);
 
     std::vector<BreakerHealth> rows = sb.snapshot();
     ASSERT_EQ(rows.size(), 1u);
@@ -304,6 +314,7 @@ TEST(Breaker, TripsAtExactThreshold)
     EXPECT_EQ(rows[0].state, BreakerState::kOpen);
     EXPECT_EQ(rows[0].consecutiveFailures, 3);
     EXPECT_EQ(rows[0].trips, 1u);
+    EXPECT_EQ(rows[0].shed, 1u);
 
     // A success between failures resets the streak: 2 + success + 2
     // never reaches a threshold of 3.
@@ -326,12 +337,14 @@ TEST(Breaker, OpenShedsUntilCooldownThenAdmitsOneProbe)
     using std::chrono::milliseconds;
     EXPECT_EQ(sb.admit(0xA, t0), Admission::kShed);
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(99)), Admission::kShed);
-    EXPECT_EQ(sb.shedCount(), 2u);
+    ASSERT_EQ(sb.snapshot().size(), 1u);
+    EXPECT_EQ(sb.snapshot()[0].shed, 2u);
 
     // Past the cooldown: exactly one probe; concurrent arrivals shed.
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(150)), Admission::kProbe);
-    EXPECT_EQ(sb.probes(), 1u);
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(151)), Admission::kShed);
+    EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(152)), Admission::kShed);
+    EXPECT_EQ(sb.snapshot()[0].shed, 4u);
 
     // Probe succeeds: fully healed, row erased.
     sb.onSuccess(0xA, /*probe=*/true, t0 + milliseconds(160));
@@ -352,7 +365,8 @@ TEST(Breaker, ProbeFailureReopensAndRestartsCooldown)
     // trip and the cooldown restarts from the probe failure.
     EXPECT_TRUE(sb.onFailure(0xA, ErrorCode::kInternal, /*probe=*/true,
                              t0 + milliseconds(130)));
-    EXPECT_EQ(sb.trips(), 2u);
+    ASSERT_EQ(sb.snapshot().size(), 1u);
+    EXPECT_EQ(sb.snapshot()[0].trips, 2u);
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(200)), Admission::kShed);
     EXPECT_EQ(sb.admit(0xA, t0 + milliseconds(231)), Admission::kProbe);
 }
@@ -434,11 +448,12 @@ TEST(Breaker, ExactlyOneTripUnderConcurrentFailures)
     for (std::thread& t : threads)
         t.join();
     EXPECT_EQ(tripped.load(), 1);
-    EXPECT_EQ(sb.trips(), 1u);
+    ASSERT_EQ(sb.snapshot().size(), 1u);
+    EXPECT_EQ(sb.snapshot()[0].trips, 1u);
     EXPECT_EQ(sb.admit(0xF00D), Admission::kShed);
 }
 
-TEST(Breaker, ResetDropsStateButKeepsCumulativeCounters)
+TEST(Breaker, ResetDropsState)
 {
     SignatureScoreboard sb(breaker(1, 60000));
     EXPECT_TRUE(sb.onFailure(0xA, ErrorCode::kInternal, false));
@@ -446,8 +461,6 @@ TEST(Breaker, ResetDropsStateButKeepsCumulativeCounters)
     sb.reset();  // blue/green swap: the new engine starts clean
     EXPECT_FALSE(hasRow(sb, 0xA));
     EXPECT_EQ(sb.admit(0xA), Admission::kAdmit);
-    EXPECT_EQ(sb.trips(), 1u);
-    EXPECT_EQ(sb.shedCount(), 1u);
 }
 
 // --- watchdog predicate -----------------------------------------------

@@ -25,7 +25,6 @@
 #include "serving/server.h"
 #include "support/fault_injection.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 
 namespace sod2 {
 namespace {
@@ -213,6 +212,27 @@ TEST(Server, InvalidInputShedTypedWithoutQueueing)
     EXPECT_EQ(s.submitted, 1u);
     EXPECT_EQ(s.shed, 1u);
     EXPECT_EQ(s.admitted, 0u);
+}
+
+TEST(Server, ZeroWorkersOrQueueDepthRejectedTyped)
+{
+    // 0 is not "the default": a server with no worker or no queue slot
+    // could only shed, so construction fails loudly instead.
+    ServingFixture f;
+    for (bool zero_workers : {true, false}) {
+        ServerOptions opts;
+        if (zero_workers)
+            opts.workers = 0;
+        else
+            opts.queueDepth = 0;
+        try {
+            Sod2Server server(&f.engine, opts);
+            FAIL() << "expected a typed Error (zero_workers="
+                   << zero_workers << ")";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), ErrorCode::kInvalidInput) << e.what();
+        }
+    }
 }
 
 TEST(Server, ResultsOutliveWorkerReuse)
@@ -501,40 +521,25 @@ TEST_F(ServerFaultTest, PlanFaultFallsBackWhenRequested)
 
 TEST(Affinity, ParseAndNames)
 {
-    EXPECT_EQ(serving::parseAffinityMode("shape"), AffinityMode::kShape);
-    EXPECT_EQ(serving::parseAffinityMode("round_robin"),
-              AffinityMode::kRoundRobin);
-    EXPECT_EQ(serving::parseAffinityMode("least_loaded"),
-              AffinityMode::kLeastLoaded);
+    // serving_load prints these names in its mode column.
     EXPECT_STREQ(serving::affinityModeName(AffinityMode::kShape), "shape");
-    try {
-        serving::parseAffinityMode("bogus");
-        FAIL() << "expected a typed Error";
-    } catch (const Error& e) {
-        EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
-    }
+    EXPECT_STREQ(serving::affinityModeName(AffinityMode::kRoundRobin),
+                 "round_robin");
 }
 
 TEST(Affinity, ShapeModeIsStickyAndSpreads)
 {
     serving::AffinityPolicy policy(AffinityMode::kShape, 3);
-    size_t a = policy.pick(111, {});
-    size_t b = policy.pick(222, {});
-    size_t c = policy.pick(333, {});
+    size_t a = policy.pick(111);
+    size_t b = policy.pick(222);
+    size_t c = policy.pick(333);
     // First-seen rotation: three distinct signatures cover all workers.
     EXPECT_NE(a, b);
     EXPECT_NE(b, c);
     EXPECT_NE(a, c);
     // Sticky: repeats route identically.
-    EXPECT_EQ(policy.pick(111, {}), a);
-    EXPECT_EQ(policy.pick(222, {}), b);
-}
-
-TEST(Affinity, LeastLoadedPicksSmallest)
-{
-    serving::AffinityPolicy policy(AffinityMode::kLeastLoaded, 3);
-    EXPECT_EQ(policy.pick(1, {5, 2, 9}), 1u);
-    EXPECT_EQ(policy.pick(2, {0, 0, 0}), 0u);  // ties to lowest index
+    EXPECT_EQ(policy.pick(111), a);
+    EXPECT_EQ(policy.pick(222), b);
 }
 
 TEST(Affinity, ServerRoutesSameSignatureToSameWorker)
@@ -577,7 +582,7 @@ TEST(Affinity, ShapeAffinityBeatsRoundRobinOnContextHits)
         for (auto& fut : futures)
             EXPECT_TRUE(fut.get().ok());
         server.drain();
-        return f.engine.planCache()->contextHits();
+        return f.engine.planCache()->counters().contextHits;
     };
 
     size_t affinity_hits = runStream(AffinityMode::kShape);
@@ -841,35 +846,6 @@ TEST(Storm, EightThreadMixedSignaturesBitExact)
     EXPECT_EQ(s.completed,
               static_cast<uint64_t>(kThreads * kPerThread));
     EXPECT_EQ(s.shed, 0u);
-}
-
-// --- metrics ----------------------------------------------------------
-
-TEST(Metrics, ServerCountersAndGaugesRegistered)
-{
-    ServingFixture f;
-    MetricsRegistry& metrics = MetricsRegistry::instance();
-    uint64_t admitted_before =
-        metrics.counter("server.admitted").value();
-    uint64_t completed_before =
-        metrics.counter("server.completed").value();
-
-    ServerOptions opts;
-    opts.workers = 1;
-    Sod2Server server(&f.engine, opts);
-    Request req;
-    req.inputs = {f.input(0, 9)};
-    ASSERT_TRUE(server.run(std::move(req)).ok());
-    server.drain();
-
-    EXPECT_EQ(metrics.counter("server.admitted").value(),
-              admitted_before + 1);
-    EXPECT_EQ(metrics.counter("server.completed").value(),
-              completed_before + 1);
-    // Quiesced server: both gauges are back to their pre-server level
-    // relative to this server's traffic (they are process-wide).
-    EXPECT_EQ(server.stats().queueDepth, 0u);
-    EXPECT_EQ(server.stats().inflight, 0u);
 }
 
 }  // namespace

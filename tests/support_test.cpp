@@ -122,15 +122,6 @@ TEST(Env, ReadNonNegativeInt64AcceptsZero)
     EXPECT_EQ(env::readNonNegativeInt64("SOD2_TEST_INT", 100), 100);
 }
 
-TEST(Env, WatchdogMillisZeroTurnsTheWatchdogOff)
-{
-    // First query in this process (each gtest case runs in its own
-    // process under ctest), so the cached value is this one.
-    setenv("SOD2_WATCHDOG_MS", "0", 1);
-    EXPECT_EQ(env::watchdogMillis(), 0);
-    unsetenv("SOD2_WATCHDOG_MS");
-}
-
 TEST(Logging, CheckThrowsWithContext)
 {
     EXPECT_THROW(
